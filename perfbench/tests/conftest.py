@@ -1,0 +1,7 @@
+"""Put the benchmark's modules and the checkout's slin sources on the path."""
+
+import sys
+from pathlib import Path
+
+_BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_BENCH.parent / "src"), str(_BENCH)]
