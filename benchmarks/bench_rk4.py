@@ -39,7 +39,7 @@ def main():
     args = parser.parse_args()
 
     try:
-        from slin._rk4core import rk4_kernel as compiled
+        from slin._rk4 import rk4_kernel as compiled
     except ImportError:
         compiled = None
         print("note: compiled kernel not built; timing the pure kernel only\n")
@@ -54,7 +54,7 @@ def main():
         ("lifted (dim 21)", compile_field(lift.field()), z0),
     ]
 
-    header = f"{'case':<18} {'steps':>8} {'python':>12} {'cython':>12} {'speedup':>9}"
+    header = f"{'case':<18} {'steps':>8} {'python':>12} {'c':>12} {'speedup':>9}"
     print(header)
     print("-" * len(header))
     for label, field, y0 in cases:
@@ -66,16 +66,16 @@ def main():
             if compiled is None:
                 print(f"{label:<18} {n_steps:>8} {t_py * 1e3:>10.2f}ms {'-':>12} {'-':>9}")
                 continue
-            t_cy = best_of(
+            t_c = best_of(
                 args.repeat,
                 lambda: integrate_compiled(field, y0, 1e-3, n_steps, compiled),
             )
             py_states, _ = integrate_compiled(field, y0, 1e-3, n_steps, rk4_kernel_python)
-            cy_states, _ = integrate_compiled(field, y0, 1e-3, n_steps, compiled)
-            agree = "ok" if py_states == cy_states else "MISMATCH"
+            c_states, _ = integrate_compiled(field, y0, 1e-3, n_steps, compiled)
+            agree = "ok" if py_states == c_states else "MISMATCH"
             print(
-                f"{label:<18} {n_steps:>8} {t_py * 1e3:>10.2f}ms {t_cy * 1e3:>10.2f}ms "
-                f"{t_py / t_cy:>8.1f}x  [{agree}]"
+                f"{label:<18} {n_steps:>8} {t_py * 1e3:>10.2f}ms {t_c * 1e3:>10.2f}ms "
+                f"{t_py / t_c:>8.1f}x  [{agree}]"
             )
 
 

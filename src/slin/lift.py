@@ -54,14 +54,19 @@ class AffineSystem:
 
     def field(self) -> List[Polynomial]:
         """Row polynomials A z + D, one per coordinate."""
-        rows = []
-        for i in range(self.dim):
-            p = Polynomial.constant(self.space, self.D[i])
-            for j, a in enumerate(self.A[i]):
-                if a:
-                    p = p + Polynomial.variable(self.space, j) * a
-            rows.append(p)
-        return rows
+        return _affine_field(self.space, self.A, self.D)
+
+
+def _affine_field(space: VariableSpace, A: tuple, D: tuple) -> List[Polynomial]:
+    """Row polynomials A z + D over `space`, each built from one term dict."""
+    n = len(space)
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    rows = []
+    for i in range(n):
+        terms = {(0,) * n: D[i]}
+        terms.update((units[j], a) for j, a in enumerate(A[i]) if a)
+        rows.append(Polynomial(space, terms))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,7 @@ class SuperLinearization:
 
     def field(self) -> List[Polynomial]:
         """The lifted right-hand side A z + D as polynomials, for simulation."""
-        return AffineSystem(self.lifted_space, self.A, self.D).field()
+        return _affine_field(self.lifted_space, self.A, self.D)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 A vector field is flattened once into CSR-style arrays (`compile_field`) and
 then stepped with classic fixed-step RK4. The stepping kernel exists twice
-with identical semantics: a Cython extension (`slin._rk4core`, built at
-install time) and the pure-Python twin below. Both perform the same IEEE
-double operations in the same order, so their trajectories agree bit for bit;
+with identical semantics: a C extension (`slin._rk4`, hand-written against
+the CPython API and built by setuptools when a C compiler is present) and
+the pure-Python twin below. Both perform the same IEEE double operations in
+the same order, so their trajectories agree bit for bit;
 `benchmarks/bench_rk4.py` compares their speed.
 
-The extension is picked at import when present. Set ``SLIN_PURE_PYTHON=1``
-to force the fallback (useful for benchmarking and debugging).
+The extension is picked at import when present, and `BACKEND` reports the
+kernel in use: ``"c"`` or ``"python"``. Set ``SLIN_PURE_PYTHON=1`` to force
+the fallback (useful for benchmarking and debugging).
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _eval_into(cf_arrays, y, res):
 def rk4_kernel_python(
     comp_ptr, coeff, term_ptr, fvar, fexp, y, step, n_steps, out
 ) -> int:
-    """Pure-Python RK4 stepping; mirrors the Cython kernel operation-for-operation.
+    """Pure-Python RK4 stepping; mirrors the C kernel operation for operation.
 
     `y` is the start state (not modified), `out` has room for
     (n_steps + 1) * dim doubles. Returns the number of completed steps with a
@@ -129,10 +131,10 @@ def _select_backend():
     if os.environ.get("SLIN_PURE_PYTHON") == "1":
         return rk4_kernel_python, "python"
     try:
-        from ._rk4core import rk4_kernel as compiled
+        from ._rk4 import rk4_kernel as compiled
     except ImportError:
         return rk4_kernel_python, "python"
-    return compiled, "cython"
+    return compiled, "c"
 
 
 RK4_KERNEL, BACKEND = _select_backend()

@@ -1,7 +1,15 @@
 """Backend equivalence and the compiled-field representation."""
 
+import importlib.util
 import math
+import os
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+from array import array
+from pathlib import Path
 
 import pytest
 
@@ -16,15 +24,45 @@ from slin.numeric import (
 from helpers import five_state
 
 try:
-    from slin._rk4core import rk4_kernel as rk4_kernel_cython
+    import slin._rk4  # noqa: F401
 
     HAVE_EXT = True
 except ImportError:
     HAVE_EXT = False
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def compiled_kernel(tmp_path_factory):
+    """The C kernel built from this checkout into a temporary directory.
+
+    Building here, rather than importing an installed copy, means the kernel
+    is tested even when no in-place build exists, and a stale build from
+    other sources is never the one tested.
+    """
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) on PATH")
+    tmp = tmp_path_factory.mktemp("rk4build")
+    env = {k: v for k, v in os.environ.items() if k != "SLIN_NO_EXT"}
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    built = list((tmp / "lib" / "slin").glob("_rk4.*"))
+    assert proc.returncode == 0 and len(built) == 1, proc.stdout + proc.stderr
+    spec = importlib.util.spec_from_file_location("slin._rk4", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.rk4_kernel
+
 
 def test_backend_reports_a_known_name():
-    assert BACKEND in ("cython", "python")
+    assert BACKEND in ("c", "python")
+    if HAVE_EXT and os.environ.get("SLIN_PURE_PYTHON") != "1":
+        assert BACKEND == "c"
 
 
 def test_compiled_field_evaluation_matches_polynomials():
@@ -60,8 +98,7 @@ def _eval_compiled(cf, y):
     return out
 
 
-@pytest.mark.skipif(not HAVE_EXT, reason="compiled kernel not built")
-def test_backends_agree_bit_for_bit():
+def test_backends_agree_bit_for_bit(compiled_kernel):
     s = five_state()
     sl = superlinearize(s)
     for field, y0 in [
@@ -70,19 +107,38 @@ def test_backends_agree_bit_for_bit():
     ]:
         cf = compile_field(field)
         py_states, py_done = integrate_compiled(cf, y0, 1e-2, 200, rk4_kernel_python)
-        cy_states, cy_done = integrate_compiled(cf, y0, 1e-2, 200, rk4_kernel_cython)
-        assert py_done == cy_done == 200
-        assert py_states == cy_states  # exact equality, not approximate
+        c_states, c_done = integrate_compiled(cf, y0, 1e-2, 200, compiled_kernel)
+        assert py_done == c_done == 200
+        assert py_states == c_states  # exact equality, not approximate
 
 
-@pytest.mark.skipif(not HAVE_EXT, reason="compiled kernel not built")
-def test_backends_agree_on_divergence_step():
+def test_backends_agree_on_divergence_step(compiled_kernel):
     s = parse_system("vars: x\nx' = x^2\n")
     cf = compile_field(s.rhs)
     py_states, py_done = integrate_compiled(cf, [1.0], 1e-3, 2000, rk4_kernel_python)
-    cy_states, cy_done = integrate_compiled(cf, [1.0], 1e-3, 2000, rk4_kernel_cython)
-    assert py_done == cy_done < 2000
-    assert py_states == cy_states
+    c_states, c_done = integrate_compiled(cf, [1.0], 1e-3, 2000, compiled_kernel)
+    assert py_done == c_done < 2000
+    assert py_states == c_states
+
+
+def test_compiled_kernel_checks_its_buffers(compiled_kernel):
+    cf = compile_field(five_state().rhs)
+    arrays = [cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp]
+    y = array("d", [0.1, 0.2, 0.3, 0.4, 0.5])
+    out = array("d", bytes(8 * 11 * cf.dim))
+    assert compiled_kernel(*arrays, y, 1e-3, 10, out) == 10
+    for k, wrong in [(0, array("l", cf.comp_ptr)), (1, array("f", cf.coeff)),
+                     (4, array("d", cf.fexp))]:
+        bad = list(arrays)
+        bad[k] = wrong
+        with pytest.raises(TypeError):
+            compiled_kernel(*bad, y, 1e-3, 10, out)
+    with pytest.raises(TypeError):
+        compiled_kernel(*arrays, array("i", [1] * 5), 1e-3, 10, out)
+    with pytest.raises(ValueError):
+        compiled_kernel(*arrays, y, 1e-3, 11, out)  # needs 12 samples, has 11
+    with pytest.raises(ValueError):
+        compiled_kernel(*arrays, y[:4], 1e-3, 10, out)  # fvar indexes x5
 
 
 def test_integrate_rejects_wrong_state_size():

@@ -9,6 +9,7 @@ import pytest
 from slin import (
     DimensionMismatchError,
     DivergenceError,
+    Polynomial,
     parse_system,
     simulate,
     superlinearize,
@@ -122,6 +123,41 @@ def test_verify_numeric_fourth_order_convergence():
     coarse = verify_numeric(s, sl, x0, 2.0, 0.02)
     fine = verify_numeric(s, sl, x0, 2.0, 0.01)
     assert 12.0 <= coarse / fine <= 20.0
+
+
+def _projection_error_by_trajectories(s, sl, x0, t_end, step):
+    """The defining computation: max over samples of |z_i - x_i| from two
+    `simulate` trajectories, the lifted field built by adding up A z + D."""
+    lifted = sl.lifted_space
+    field = []
+    for i in range(sl.dim):
+        row = Polynomial.constant(lifted, sl.D[i])
+        for j, a in enumerate(sl.A[i]):
+            if a:
+                row = row + Polynomial.variable(lifted, j) * a
+        field.append(row)
+    assert sl.field() == field
+    x_traj = simulate(s.rhs, x0, t_end, step)
+    z0 = [float(v) for v in x0] + [o.expansion.evaluate(x0) for o in sl.observables]
+    z_traj = simulate(field, z0, t_end, step)
+    worst = 0.0
+    for xs, zs in zip(x_traj.states, z_traj.states):
+        for i in range(s.dim):
+            worst = max(worst, abs(zs[i] - xs[i]))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "system, x0",
+    [(two_state, [1.0, 1.0]), (five_state, [0.1, 0.2, 0.3, 0.4, 0.5])],
+    ids=["twostate", "fivestate"],
+)
+def test_verify_numeric_equals_its_trajectory_definition(system, x0):
+    s = system()
+    sl = superlinearize(s)
+    for t_end, step in [(2.0, 1e-3), (2.0, 0.02), (0.0, 1e-3)]:
+        expected = _projection_error_by_trajectories(s, sl, x0, t_end, step)
+        assert verify_numeric(s, sl, x0, t_end, step) == expected
 
 
 def test_verify_numeric_dimension_mismatch():
