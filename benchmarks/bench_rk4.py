@@ -3,7 +3,9 @@
 
 Integrates the five-state cascade and its 21-dimensional lift over a range of
 step counts with both kernels, checks that the outputs agree bit for bit, and
-prints timings plus the speedup.
+prints timings plus the speedup. The lift is compiled the way `verify_numeric`
+compiles it, straight from A and D with `compile_affine`; the script first
+checks that those arrays equal `compile_field` of the lift's row polynomials.
 
 Usage: python benchmarks/bench_rk4.py [--repeat N]
 """
@@ -12,7 +14,12 @@ import argparse
 import time
 
 from slin import parse_system, superlinearize
-from slin.numeric import compile_field, integrate_compiled, rk4_kernel_python
+from slin.numeric import (
+    compile_affine,
+    compile_field,
+    integrate_compiled,
+    rk4_kernel_python,
+)
 
 FIVE_STATE = """\
 vars: x1 x2 x3 x4 x5
@@ -49,9 +56,13 @@ def main():
     x0 = [0.1, 0.2, 0.3, 0.4, 0.5]
     z0 = x0 + [obs.expansion.evaluate(x0) for obs in lift.observables]
 
+    lifted = compile_affine(lift.A, lift.D)
+    if lifted != compile_field(lift.field()):
+        raise SystemExit("compile_affine differs from compile_field of the lift's rows")
+
     cases = [
         ("original (dim 5)", compile_field(system.rhs), x0),
-        ("lifted (dim 21)", compile_field(lift.field()), z0),
+        ("lifted (dim 21)", lifted, z0),
     ]
 
     header = f"{'case':<18} {'steps':>8} {'python':>12} {'c':>12} {'speedup':>9}"

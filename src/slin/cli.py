@@ -128,11 +128,15 @@ def cmd_simulate(args) -> int:
         )
         return EXIT_USAGE
 
-    traj = simulate(sys_.rhs, x0, args.t, args.step)
-    if args.lift:
-        sl = load_lift(args.lift)
-        error = verify_numeric(sys_, sl, x0, args.t, args.step)
-        print(f"max projection error on [0, {args.t:g}]: {error:.3e}")
+    try:
+        traj = simulate(sys_.rhs, x0, args.t, args.step)
+        if args.lift:
+            sl = load_lift(args.lift)
+            error = verify_numeric(sys_, sl, x0, args.t, args.step)
+            print(f"max projection error on [0, {args.t:g}]: {error:.3e}")
+    except ValueError as exc:  # bad --t, --step or --x0, or too many samples
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             write_trajectory_csv(traj, sys_.vars.names, fh)

@@ -1,12 +1,17 @@
 """Double-precision integration kernels for polynomial vector fields.
 
 A vector field is flattened once into CSR-style arrays (`compile_field`) and
-then stepped with classic fixed-step RK4. The stepping kernel exists twice
-with identical semantics: a C extension (`slin._rk4`, hand-written against
-the CPython API and built by setuptools when a C compiler is present) and
-the pure-Python twin below. Both perform the same IEEE double operations in
-the same order, so their trajectories agree bit for bit;
-`benchmarks/bench_rk4.py` compares their speed.
+then stepped with classic fixed-step RK4. An affine field ``z' = A z + D``,
+such as a lift's, is flattened straight from its matrix and offset
+(`compile_affine`) into the same arrays `compile_field` makes of its row
+polynomials, without building those polynomials; `verify.verify_numeric`
+integrates every lift this way.
+
+The stepping kernel exists twice with identical semantics: a C extension
+(`slin._rk4`, hand-written against the CPython API and built by setuptools
+when a C compiler is present) and the pure-Python twin below. Both perform
+the same IEEE double operations in the same order, so their trajectories
+agree bit for bit; `benchmarks/bench_rk4.py` compares their speed.
 
 The extension is picked at import when present, and `BACKEND` reports the
 kernel in use: ``"c"`` or ``"python"``. Set ``SLIN_PURE_PYTHON=1`` to force
@@ -58,6 +63,35 @@ def compile_field(field: Sequence[Polynomial]) -> CompiledField:
                 if e:
                     fvar.append(var)
                     fexp.append(e)
+            term_ptr.append(len(fvar))
+        comp_ptr.append(len(coeff))
+    return CompiledField(dim, comp_ptr, coeff, term_ptr, fvar, fexp)
+
+
+def compile_affine(A: Sequence[Sequence], D: Sequence) -> CompiledField:
+    """The field ``z' = A z + D`` in CSR form, entries exact rationals or ints.
+
+    Equals `compile_field` of the row polynomials: in graded-lex descending
+    order a row's linear terms come first, by ascending column, and its
+    constant term last; zero entries have no term.
+    """
+    dim = len(A)
+    if len(D) != dim or any(len(row) != dim for row in A):
+        raise ValueError("A must be square with one offset per row")
+    comp_ptr = array("i", [0])
+    coeff = array("d")
+    term_ptr = array("i", [0])
+    fvar = array("i")
+    fexp = array("i")
+    for row, d in zip(A, D):
+        for j, a in enumerate(row):
+            if a:
+                coeff.append(float(a))
+                fvar.append(j)
+                fexp.append(1)
+                term_ptr.append(len(fvar))
+        if d:
+            coeff.append(float(d))
             term_ptr.append(len(fvar))
         comp_ptr.append(len(coeff))
     return CompiledField(dim, comp_ptr, coeff, term_ptr, fvar, fexp)
@@ -159,4 +193,6 @@ def integrate_compiled(
     completed = kernel(
         cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp, y, step, n_steps, out
     )
+    if completed == n_steps:
+        return out, completed
     return out[: (completed + 1) * cf.dim], completed

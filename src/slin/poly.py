@@ -262,17 +262,31 @@ class Polynomial:
         return result
 
     def evaluate(self, point: Sequence[float]) -> float:
-        """Numeric value at ``point``: direct sum of per-term double products."""
+        """Numeric value at ``point``: direct sum of per-term double products.
+
+        Each coefficient is rounded once to the nearest double, then multiplied
+        by one factor per unit of exponent, variables in space order.
+        """
         if len(point) != len(self.space):
             raise ValueError(
                 f"point has {len(point)} coordinates, space has {len(self.space)}"
             )
         total = 0.0
         for mono, coeff in self.terms.items():
-            value = float(coeff)
-            for x, e in zip(point, mono):
-                for _ in range(e):
+            # The correctly rounded int division float(Fraction) performs,
+            # without its method dispatch.
+            value = coeff.numerator / coeff.denominator
+            # Most exponents are zero: fetching by index only the variables
+            # that occur is cheaper than zipping every exponent with its value.
+            i = 0
+            for e in mono:
+                if e:
+                    x = point[i]
                     value *= x
+                    while e > 1:
+                        value *= x
+                        e -= 1
+                i += 1
             total += value
         return total
 

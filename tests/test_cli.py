@@ -218,6 +218,27 @@ def test_simulate_x0_validation(files, capsys):
     assert main(["simulate", files["two_state"], "--x0", "a,b"]) == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--step", "0"),
+        ("--step", "nan"),
+        ("--t", "nan"),
+        ("--x0", "nan,1"),
+        ("--t", "inf"),
+        ("--step", "1e-320"),
+        ("--step", "inf"),
+    ],
+)
+def test_simulate_bad_number_exits_1(files, capsys, flag, value):
+    args = {"--x0": "1,1", "--t": "2", "--step": "1e-3"} | {flag: value}
+    argv = ["simulate", files["two_state"]] + [w for kv in args.items() for w in kv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_simulate_stdout_when_no_output(files, capsys):
     assert main(["simulate", files["two_state"], "--x0", "1,1", "--t", "0"]) == 0
     assert capsys.readouterr().out.startswith("t,x,y")

@@ -16,12 +16,14 @@ import pytest
 from slin import parse_system, superlinearize
 from slin.numeric import (
     BACKEND,
+    compile_affine,
     compile_field,
+    integrate,
     integrate_compiled,
     rk4_kernel_python,
 )
 
-from helpers import five_state
+from helpers import cascade, five_state, two_state
 
 try:
     import slin._rk4  # noqa: F401
@@ -152,3 +154,62 @@ def test_compile_field_requires_square_field():
     s = five_state()
     with pytest.raises(ValueError):
         compile_field(s.rhs[:3])
+
+
+# Its lift has the nonzero offset D = (0, 2, 2).
+OFFSET = "vars: x y\nx' = -x + y^2 + 1\ny' = -y + 2\n"
+
+
+def _csr_bytes(cf):
+    arrays = (cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp)
+    return cf.dim, [(a.typecode, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        two_state,
+        five_state,
+        lambda: cascade(5, 2),
+        lambda: parse_system(OFFSET),
+    ],
+    ids=["twostate", "fivestate", "cascade(5,2)", "offset"],
+)
+def test_compile_affine_equals_compile_field_of_the_lift(system):
+    sl = superlinearize(system())
+    assert _csr_bytes(compile_affine(sl.A, sl.D)) == _csr_bytes(compile_field(sl.field()))
+
+
+def test_offset_lift_has_a_nonzero_offset():
+    # keeps the "offset" case above covering constant terms
+    assert superlinearize(parse_system(OFFSET)).D == (0, 2, 2)
+
+
+def test_compile_affine_requires_a_square_matrix():
+    with pytest.raises(ValueError):
+        compile_affine(((1, 0), (0, 1)), (0,))
+    with pytest.raises(ValueError):
+        compile_affine(((1, 0), (0,)), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "system, x0",
+    [
+        (five_state, [0.1, 0.2, 0.3, 0.4, 0.5]),
+        (lambda: cascade(4, 2), [0.7, -0.6, 0.5, -0.8]),
+    ],
+    ids=["fivestate", "cascade(4,2)"],
+)
+def test_rk4_end_state_agrees_with_dop853(system, x0):
+    """Independent oracle: scipy's DOP853 shares no code with the RK4 kernels."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    s = system()
+    states, completed = integrate(s.rhs, x0, 1e-3, 1000)
+    assert completed == 1000
+    sol = solve_ivp(
+        lambda _t, y: [p.evaluate(y) for p in s.rhs],
+        (0.0, 1.0), x0, method="DOP853", rtol=1e-12, atol=1e-12,
+    )
+    assert sol.success
+    end = states[-s.dim:]
+    assert max(abs(a - b) for a, b in zip(end, sol.y[:, -1])) <= 1e-9

@@ -292,6 +292,40 @@ def test_evaluate_matches_exact_rational(terms, point):
     assert abs(approx - float(exact)) <= 1e-12 * max(1.0, abs(float(exact)))
 
 
+def _evaluate_by_unit_multiplies(p, point):
+    """Reference: ``float(coeff)``, then one multiply per unit of exponent."""
+    total = 0.0
+    for mono, coeff in p.terms.items():
+        value = float(coeff)
+        for x, e in zip(point, mono):
+            for _ in range(e):
+                value *= x
+        total += value
+    return total
+
+
+# Ratios of integers up to 2^200 exercise the correctly rounded division of
+# big integers without leaving the double range.
+wide_coeffs = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+
+
+@given(
+    st.dictionaries(st.sampled_from(MONOS_3), wide_coeffs, max_size=6),
+    st.tuples(st.floats(), st.floats(), st.floats()),
+)
+def test_evaluate_equals_unit_multiply_loop_bit_for_bit(terms, point):
+    p = Polynomial(XYZ, terms)
+    assert p.evaluate(point).hex() == _evaluate_by_unit_multiplies(p, point).hex()
+
+
+def test_evaluate_overflows_like_float_on_a_huge_coefficient():
+    p = Polynomial(XY, {(1, 0): Fraction(10**400, 3), (0, 0): 1})
+    with pytest.raises(OverflowError):
+        _evaluate_by_unit_multiplies(p, (1.0, 1.0))
+    with pytest.raises(OverflowError):
+        p.evaluate((1.0, 1.0))
+
+
 def test_immutability():
     p = P("x1", XY)
     with pytest.raises(AttributeError):

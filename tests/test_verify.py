@@ -17,6 +17,7 @@ from slin import (
     verify_symbolic,
 )
 from slin.lift import Observable, SuperLinearization
+from slin.numeric import integrate
 from slin.verify import write_trajectory_csv
 
 from helpers import P, five_state, space, two_state
@@ -90,6 +91,35 @@ def test_simulate_validates_arguments():
         simulate(s.rhs, [1.0], -1.0, 1e-3)
     with pytest.raises(ValueError):
         simulate(s.rhs, [float("nan")], 1.0, 1e-3)
+
+
+BAD_NUMBERS = {
+    "step=0": dict(step=0.0),
+    "step=nan": dict(step=float("nan")),
+    "t=nan": dict(t_end=float("nan")),
+    "x0=nan": dict(x0=[float("nan"), 1.0]),
+    "t=inf": dict(t_end=float("inf")),
+    "step=1e-320": dict(step=1e-320),  # t_end / step overflows to inf
+    "step=inf": dict(step=float("inf")),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_simulate_rejects_non_finite_or_nonpositive_numbers(bad):
+    args = dict(x0=[1.0, 1.0], t_end=2.0, step=1e-3) | bad
+    with pytest.raises(ValueError):
+        simulate(two_state().rhs, **args)
+
+
+def test_simulate_states_equal_per_sample_slices():
+    s = five_state()
+    x0 = [0.1, 0.2, 0.3, 0.4, 0.5]
+    traj = simulate(s.rhs, x0, 2.0, 1e-3)
+    flat, completed = integrate(s.rhs, x0, 1e-3, 2000)
+    assert completed == 2000
+    assert traj.states == tuple(
+        tuple(flat[k * s.dim : (k + 1) * s.dim]) for k in range(completed + 1)
+    )
 
 
 # --- verify_numeric --------------------------------------------------------------
@@ -182,3 +212,15 @@ def test_trajectory_csv_roundtrip():
         cells = line.split(",")
         assert float(cells[0]) == t  # repr round-trips exactly
         assert tuple(float(c) for c in cells[1:]) == state
+
+
+def test_trajectory_csv_equals_per_row_writes():
+    s = five_state()
+    traj = simulate(s.rhs, [0.1, 0.2, 0.3, 0.4, 0.5], 2.0, 1e-3)
+    expected = io.StringIO()
+    expected.write("t," + ",".join(s.vars.names) + "\n")
+    for t, state in zip(traj.times, traj.states):
+        expected.write(repr(t) + "," + ",".join(repr(v) for v in state) + "\n")
+    buf = io.StringIO()
+    write_trajectory_csv(traj, s.vars.names, buf)
+    assert buf.getvalue() == expected.getvalue()
