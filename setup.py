@@ -1,8 +1,9 @@
-"""Build script: compiles the optional RK4 extension when a C compiler exists.
+"""Build script: compiles the optional C extension when a C compiler exists.
 
 The package is pure Python plus one optional speedup, `slin._rk4`, written in
-plain C against the CPython API. A missing compiler must never block
-installation (the import falls back to the pure kernel). Set SLIN_NO_EXT=1 to
+plain C against the CPython API: the RK4 stepping kernel and the formatter of
+trajectory CSV rows. A missing compiler must never block installation (the
+import falls back to the pure kernel and to `repr`). Set SLIN_NO_EXT=1 to
 skip the extension explicitly.
 """
 

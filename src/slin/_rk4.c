@@ -4,11 +4,16 @@
  * trajectories agree bit for bit between backends. That requires building
  * without floating-point contraction (-ffp-contract=off, set in setup.py):
  * a fused multiply-add rounds once where Python rounds twice.
+ *
+ * The module also formats trajectory rows as CSV text (format_rows), every
+ * value byte for byte equal to its Python repr.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 static void
 eval_into(Py_ssize_t dim, const int *restrict comp_ptr,
@@ -177,18 +182,297 @@ done:
     return result;
 }
 
+/* ---- CSV rows ------------------------------------------------------------ */
+
+/* UTF-8 text under construction. */
+typedef struct {
+    char *buf;
+    Py_ssize_t len, cap;
+} text_buf;
+
+static int
+reserve(text_buf *tb, Py_ssize_t extra)
+{
+    if (tb->len + extra <= tb->cap)
+        return 0;
+    Py_ssize_t cap = tb->cap ? tb->cap : 4096;
+    while (cap < tb->len + extra) {
+        if (cap > PY_SSIZE_T_MAX / 2) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        cap *= 2;
+    }
+    char *grown = PyMem_Realloc(tb->buf, cap);
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    tb->buf = grown;
+    tb->cap = cap;
+    return 0;
+}
+
+static int
+append(text_buf *tb, const char *text, Py_ssize_t n)
+{
+    if (reserve(tb, n) < 0)
+        return -1;
+    memcpy(tb->buf + tb->len, text, n);
+    tb->len += n;
+    return 0;
+}
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const uint64_t POW10[20] = {
+    UINT64_C(1), UINT64_C(10), UINT64_C(100), UINT64_C(1000),
+    UINT64_C(10000), UINT64_C(100000), UINT64_C(1000000),
+    UINT64_C(10000000), UINT64_C(100000000), UINT64_C(1000000000),
+    UINT64_C(10000000000), UINT64_C(100000000000),
+    UINT64_C(1000000000000), UINT64_C(10000000000000),
+    UINT64_C(100000000000000), UINT64_C(1000000000000000),
+    UINT64_C(10000000000000000), UINT64_C(100000000000000000),
+    UINT64_C(1000000000000000000), UINT64_C(10000000000000000000),
+};
+
+/* repr(v) for 2^-12 <= |v| < 2^54, written to `out` (room for 32 bytes);
+ * returns its length, or 0 for any other double (zeros, subnormals, inf, nan
+ * and magnitudes outside that window).
+ *
+ * repr prints the shortest digit string that reads back as v, and of those
+ * the one nearest v (Steele & White, PLDI 1990; Adams, PLDI 2018). With
+ * v = m 2^e and k = 2 - e, the reals that read back as v form the interval
+ * [4m - 2, 4m + 2] / 2^k, closed when m is even; at a power-of-two m the
+ * lower gap is half as wide, [4m - 1, ...]. Scaling by 10^s, s = ceil(k log10
+ * 2) + 1 <= 21, makes the interval at least 30 wide, and one 128-bit multiply
+ * per endpoint gives the scaled endpoints' integer parts exactly, each below
+ * 2^62, with the fraction bits below them telling whether they are integral.
+ * The answer is the multiple of the largest power of ten 10^p that has one
+ * inside the scaled interval, nearest to scaled v with ties to even.
+ *
+ * Inside this window neither the closed ends nor the narrower lower gap ever
+ * changes the answer: v has fewer binary fraction digits than either end, so
+ * it is itself a multiple of every power of ten an end is a multiple of, and
+ * no power of two here has a shorter string in the quarter ulp the narrower
+ * gap leaves out. Both stay so that the interval is exactly the set of reals
+ * that read back as v, whatever the window.
+ */
+static int
+format_shortest(double v, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    int e = (int)((bits >> 52) & 0x7ff) - 1075; /* v = m 2^e */
+    if (e < -64 || e > 1)
+        return 0;
+    uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52);
+    int k = 2 - e;                               /* 1..66 */
+    int s = ((k * 78913) >> 18) + 2;             /* floor(k log10 2) + 2 */
+    u128 scale = s <= 19 ? (u128)POW10[s] : (u128)POW10[19] * POW10[s - 19];
+    u128 below = ((u128)1 << k) - 1;             /* fraction bits */
+    uint64_t gap = m == UINT64_C(1) << 52 ? 1 : 2;
+    u128 lo = (u128)(4 * m - gap) * scale;
+    u128 mid = (u128)(4 * m) * scale;
+    u128 hi = (u128)(4 * m + 2) * scale;
+    int closed = (m & 1) == 0;
+
+    /* The integers inside the scaled interval are (l, h]. */
+    uint64_t l = (uint64_t)(lo >> k) - (closed && (lo & below) == 0);
+    uint64_t h = (uint64_t)(hi >> k) - (!closed && (hi & below) == 0);
+    /* Divide both ends by 10 while a multiple of the next power of ten still
+       lies in the interval; then the multiples q 10^p inside have
+       l < q <= h. */
+    uint64_t pow = 1;
+    int p = 0;
+    while (l / 10 != h / 10) {
+        l /= 10;
+        h /= 10;
+        pow *= 10;
+        p++;
+    }
+    uint64_t scaled = (uint64_t)(mid >> k);
+    uint64_t q = scaled / pow, rem = scaled % pow, half = pow / 2;
+    if (rem > half || (rem == half && ((mid & below) != 0 || (q & 1))))
+        q++;
+    if (q <= l)
+        q = l + 1;
+    else if (q > h)
+        q = h;
+
+    char digits[24];
+    int nd = 0;
+    for (uint64_t r = q; r; r /= 10)
+        nd++;
+    for (int i = nd - 1; i >= 0; i--, q /= 10)
+        digits[i] = (char)('0' + q % 10);
+    int decpt = nd + p - s; /* v is 0.<digits> times 10^decpt */
+
+    /* Laid out as PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0). */
+    char *o = out;
+    if (bits >> 63)
+        *o++ = '-';
+    if (decpt <= -4 || decpt > 16) {
+        int x = decpt - 1;
+        *o++ = digits[0];
+        if (nd > 1) {
+            *o++ = '.';
+            memcpy(o, digits + 1, nd - 1);
+            o += nd - 1;
+        }
+        *o++ = 'e';
+        *o++ = x < 0 ? '-' : '+';
+        x = x < 0 ? -x : x;
+        if (x >= 100) {
+            *o++ = (char)('0' + x / 100);
+            x %= 100;
+        }
+        *o++ = (char)('0' + x / 10);
+        *o++ = (char)('0' + x % 10);
+    }
+    else if (decpt <= 0) {
+        *o++ = '0';
+        *o++ = '.';
+        memset(o, '0', -decpt);
+        o += -decpt;
+        memcpy(o, digits, nd);
+        o += nd;
+    }
+    else if (decpt < nd) {
+        memcpy(o, digits, decpt);
+        o += decpt;
+        *o++ = '.';
+        memcpy(o, digits + decpt, nd - decpt);
+        o += nd - decpt;
+    }
+    else {
+        memcpy(o, digits, nd);
+        o += nd;
+        memset(o, '0', decpt - nd);
+        o += decpt - nd;
+        *o++ = '.';
+        *o++ = '0';
+    }
+    return (int)(o - out);
+}
+#else
+/* Without 128-bit integers every value takes PyOS_double_to_string. */
+static int
+format_shortest(double v, char *out)
+{
+    (void)v;
+    (void)out;
+    return 0;
+}
+#endif
+
+/* Append repr(obj). */
+static int
+append_repr(text_buf *tb, PyObject *obj)
+{
+    if (PyFloat_CheckExact(obj)) {
+        double v = PyFloat_AS_DOUBLE(obj);
+        if (reserve(tb, 32) < 0)
+            return -1;
+        int n = format_shortest(v, tb->buf + tb->len);
+        if (n > 0) {
+            tb->len += n;
+            return 0;
+        }
+        /* What float.__repr__ itself calls. */
+        char *text = PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+        if (text == NULL)
+            return -1;
+        int rc = append(tb, text, (Py_ssize_t)strlen(text));
+        PyMem_Free(text);
+        return rc;
+    }
+    PyObject *repr = PyObject_Repr(obj);
+    if (repr == NULL)
+        return -1;
+    Py_ssize_t n;
+    const char *text = PyUnicode_AsUTF8AndSize(repr, &n);
+    int rc = text == NULL ? -1 : append(tb, text, n);
+    Py_DECREF(repr);
+    return rc;
+}
+
+/* Append the items of `seq`, each preceded by a comma. */
+static int
+append_state(text_buf *tb, PyObject *state)
+{
+    PyObject *seq = PySequence_Fast(state, "each state must be iterable");
+    if (seq == NULL)
+        return -1;
+    int rc = 0;
+    for (Py_ssize_t i = 0; rc == 0 && i < PySequence_Fast_GET_SIZE(seq); i++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
+        Py_INCREF(item);
+        rc = append(tb, ",", 1) < 0 || append_repr(tb, item) < 0 ? -1 : 0;
+        Py_DECREF(item);
+    }
+    Py_DECREF(seq);
+    return rc;
+}
+
+static PyObject *
+format_rows(PyObject *self, PyObject *args)
+{
+    PyObject *times, *states, *tseq = NULL, *sseq = NULL, *result = NULL;
+    Py_ssize_t start, stop;
+    text_buf tb = {NULL, 0, 0};
+
+    if (!PyArg_ParseTuple(args, "OOnn:format_rows", &times, &states, &start,
+                          &stop))
+        return NULL;
+    tseq = PySequence_Fast(times, "times must be iterable");
+    if (tseq == NULL)
+        goto done;
+    sseq = PySequence_Fast(states, "states must be iterable");
+    if (sseq == NULL)
+        goto done;
+    for (Py_ssize_t r = start < 0 ? 0 : start; r < stop; r++) {
+        /* Rows pair up as zip(times, states) pairs them. */
+        if (r >= PySequence_Fast_GET_SIZE(tseq)
+            || r >= PySequence_Fast_GET_SIZE(sseq))
+            break;
+        PyObject *t = PySequence_Fast_GET_ITEM(tseq, r);
+        PyObject *state = PySequence_Fast_GET_ITEM(sseq, r);
+        Py_INCREF(t);
+        Py_INCREF(state);
+        int rc = append_repr(&tb, t) < 0 || append_state(&tb, state) < 0
+                 || append(&tb, "\n", 1) < 0;
+        Py_DECREF(t);
+        Py_DECREF(state);
+        if (rc)
+            goto done;
+    }
+    result = PyUnicode_DecodeUTF8(tb.buf ? tb.buf : "", tb.len, NULL);
+done:
+    PyMem_Free(tb.buf);
+    Py_XDECREF(tseq);
+    Py_XDECREF(sseq);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"rk4_kernel", rk4_kernel, METH_VARARGS,
      "rk4_kernel(comp_ptr, coeff, term_ptr, fvar, fexp, y, step, n_steps, out)"
      "\n--\n\nRK4 stepping over a compiled field; see "
      "slin.numeric.rk4_kernel_python for the contract."},
+    {"format_rows", format_rows, METH_VARARGS,
+     "format_rows(times, states, start, stop)\n--\n\nCSV rows start:stop "
+     "of a trajectory, one 't,<state...>' line per sample, every value "
+     "rendered exactly as repr renders it."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "slin._rk4",
-    .m_doc = "Compiled RK4 stepping kernel, bit for bit equal to the pure one.",
+    .m_doc = "Compiled RK4 stepping kernel, bit for bit equal to the pure one, "
+             "and a CSV row formatter, byte for byte equal to repr.",
     .m_size = -1,
     .m_methods = methods,
 };

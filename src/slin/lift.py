@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,6 +28,7 @@ from .errors import (
     InternalInvariantError,
     SpaceMismatchError,
 )
+from .numeric import CompiledField, compile_affine
 from .poly import Polynomial, VariableSpace, grlex_key, lie_derivative
 from .sysparse import PolySystem
 
@@ -140,6 +142,11 @@ class SuperLinearization:
     def field(self) -> List[Polynomial]:
         """The lifted right-hand side A z + D as polynomials, for simulation."""
         return _affine_field(self.lifted_space, self.A, self.D)
+
+    @cached_property
+    def compiled_field(self) -> CompiledField:
+        """``compile_affine(A, D)``, built on first numeric use and kept."""
+        return compile_affine(self.A, self.D)
 
 
 @dataclass(frozen=True)

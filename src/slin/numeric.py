@@ -4,8 +4,9 @@ A vector field is flattened once into CSR-style arrays (`compile_field`) and
 then stepped with classic fixed-step RK4. An affine field ``z' = A z + D``,
 such as a lift's, is flattened straight from its matrix and offset
 (`compile_affine`) into the same arrays `compile_field` makes of its row
-polynomials, without building those polynomials; `verify.verify_numeric`
-integrates every lift this way.
+polynomials, without building those polynomials; a lift compiles itself this
+way once (`SuperLinearization.compiled_field`) and `verify.verify_numeric`
+integrates it from there.
 
 The stepping kernel exists twice with identical semantics: a C extension
 (`slin._rk4`, hand-written against the CPython API and built by setuptools
@@ -13,9 +14,14 @@ when a C compiler is present) and the pure-Python twin below. Both perform
 the same IEEE double operations in the same order, so their trajectories
 agree bit for bit; `benchmarks/bench_rk4.py` compares their speed.
 
+The extension also formats trajectory rows as CSV text (`FORMAT_ROWS`, used by
+`verify.write_trajectory_csv`), every value byte for byte equal to ``repr``;
+without it the rows are written with ``repr`` itself.
+
 The extension is picked at import when present, and `BACKEND` reports the
-kernel in use: ``"c"`` or ``"python"``. Set ``SLIN_PURE_PYTHON=1`` to force
-the fallback (useful for benchmarking and debugging).
+backend in use: ``"c"`` or ``"python"``; `FORMAT_ROWS` is None exactly when
+it is ``"python"``. Set ``SLIN_PURE_PYTHON=1`` to force the fallback (useful
+for benchmarking and debugging).
 """
 
 from __future__ import annotations
@@ -163,15 +169,15 @@ def rk4_kernel_python(
 
 def _select_backend():
     if os.environ.get("SLIN_PURE_PYTHON") == "1":
-        return rk4_kernel_python, "python"
+        return rk4_kernel_python, None, "python"
     try:
-        from ._rk4 import rk4_kernel as compiled
+        from ._rk4 import format_rows, rk4_kernel
     except ImportError:
-        return rk4_kernel_python, "python"
-    return compiled, "c"
+        return rk4_kernel_python, None, "python"
+    return rk4_kernel, format_rows, "c"
 
 
-RK4_KERNEL, BACKEND = _select_backend()
+RK4_KERNEL, FORMAT_ROWS, BACKEND = _select_backend()
 
 
 def integrate(

@@ -21,8 +21,9 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from . import numeric
 from .errors import DimensionMismatchError, DivergenceError
-from .numeric import CompiledField, compile_affine, integrate, integrate_compiled
+from .numeric import CompiledField, integrate, integrate_compiled
 from .poly import Polynomial, lie_derivative
 from .sysparse import PolySystem
 
@@ -154,32 +155,62 @@ def verify_numeric(
 
     Integrates dx/dt = f(x) from x0 and dz/dt = A z + D from (x0, p(x0)) and
     returns max over samples of the infinity norm of the first n coordinates
-    of z minus x. The lifted field is compiled from ``sl.A`` and ``sl.D``
-    directly; it equals `compile_field(sl.field())`.
+    of z minus x. The lifted field is ``sl.compiled_field``, compiled from
+    ``sl.A`` and ``sl.D`` directly; it equals `compile_field(sl.field())`.
+    """
+    xs, _ = _integrate_checked(sys.rhs, x0, t_end, step)
+    # Coordinate i of every sample is a strided slice of the flat states.
+    n = sys.dim
+    return _projection_error(sys, sl, [xs[i::n] for i in range(n)], x0, t_end, step)
+
+
+def _projection_error(
+    sys: PolySystem,
+    sl,
+    x_columns: Sequence[Sequence[float]],
+    x0: Sequence[float],
+    t_end: float,
+    step: float,
+) -> float:
+    """`verify_numeric` given the original flow already integrated.
+
+    `x_columns[i]` holds coordinate i of every sample of the RK4 run of
+    `sys` from `x0` on the same grid, as `simulate` or the kernel made it.
     """
     if sl.n != sys.dim:
         raise DimensionMismatchError(
             f"lift has n={sl.n}, system has dimension {sys.dim}"
         )
-    xs, _ = _integrate_checked(sys.rhs, x0, t_end, step)
     z0 = [float(v) for v in x0]
     z0.extend(obs.expansion.evaluate(x0) for obs in sl.observables)
-    zs, _ = _integrate_checked(compile_affine(sl.A, sl.D), z0, t_end, step)
-    n = sys.dim
-    # Coordinate i of every sample is a strided slice of the flat states.
+    zs, _ = _integrate_checked(sl.compiled_field, z0, t_end, step)
     return max(
         (
-            max(map(abs, map(operator.sub, zs[i :: sl.dim], xs[i::n])))
-            for i in range(n)
+            max(map(abs, map(operator.sub, zs[i :: sl.dim], column)))
+            for i, column in enumerate(x_columns)
         ),
         default=0.0,
     )
 
 
+# Rows per `fh.write` on the compiled path, so that no single string holds a
+# long trajectory's whole text.
+_CSV_CHUNK_ROWS = 4096
+
+
 def write_trajectory_csv(traj: Trajectory, names: Sequence[str], fh) -> None:
-    """CSV with header ``t,<var1>,...``; floats rendered round-trip safe."""
+    """CSV with header ``t,<var1>,...``; every value rendered as its ``repr``.
+
+    The text is the same on either backend: the compiled row formatter
+    reproduces ``repr`` byte for byte.
+    """
     fh.write("t," + ",".join(names) + "\n")
-    fh.writelines(
-        ",".join(map(repr, (t, *state))) + "\n"
-        for t, state in zip(traj.times, traj.states)
-    )
+    format_rows = numeric.FORMAT_ROWS
+    if format_rows is None:
+        fh.writelines(
+            ",".join(map(repr, (t, *state))) + "\n"
+            for t, state in zip(traj.times, traj.states)
+        )
+        return
+    for start in range(0, len(traj), _CSV_CHUNK_ROWS):
+        fh.write(format_rows(traj.times, traj.states, start, start + _CSV_CHUNK_ROWS))

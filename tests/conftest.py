@@ -1,8 +1,49 @@
-"""Terminal summary: one PASS/FAIL line per acceptance criterion."""
+"""Shared fixtures and the terminal summary of the acceptance criteria."""
 
+import importlib.util
+import os
 import re
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def compiled_ext(tmp_path_factory):
+    """The C extension `slin._rk4` built from this checkout into a temporary directory.
+
+    Building here, rather than importing an installed copy, means the RK4
+    kernel and the CSV row formatter are tested even when no in-place build
+    exists, and a stale build from other sources is never the one tested.
+    """
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) on PATH")
+    tmp = tmp_path_factory.mktemp("rk4build")
+    env = {k: v for k, v in os.environ.items() if k != "SLIN_NO_EXT"}
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    built = list((tmp / "lib" / "slin").glob("_rk4.*"))
+    assert proc.returncode == 0 and len(built) == 1, proc.stdout + proc.stderr
+    spec = importlib.util.spec_from_file_location("slin._rk4", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def compiled_kernel(compiled_ext):
+    return compiled_ext.rk4_kernel
+
 
 _ACCEPTANCE = {}
 

@@ -50,11 +50,15 @@ def five_state():
     return parse_system(FIVE_STATE)
 
 
-def cascade(n: int, d: int):
+def cascade_text(n: int, d: int) -> str:
     """``x1'=x2, x2'=-x1, xi' = -xi + x(i-1)^d + x1*x(i-2)`` for i = 3..n."""
     lines = [f"vars: {' '.join(f'x{i}' for i in range(1, n + 1))}", "x1' = x2", "x2' = -x1"]
     lines += [f"x{i}' = -x{i} + x{i - 1}^{d} + x1*x{i - 2}" for i in range(3, n + 1)]
-    return parse_system("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def cascade(n: int, d: int):
+    return parse_system(cascade_text(n, d))
 
 
 def random_wdg(rng) -> Wdg:

@@ -1,13 +1,21 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slin
+from slin import numeric, parse_system, simulate, verify_numeric
 from slin.cli import main
-from slin.document import lift_to_document
+from slin.document import lift_to_document, load_lift
+from slin.verify import write_trajectory_csv
 
-from helpers import BLOWUP, FIVE_STATE, OSCILLATOR, TWO_STATE
+from helpers import BLOWUP, FIVE_STATE, OSCILLATOR, TWO_STATE, cascade_text
 import handlift
 
 
@@ -195,6 +203,69 @@ def test_simulate_with_lift_reports_error(files, capsys, tmp_path):
     error_line = next(l for l in stdout.splitlines() if "max projection error" in l)
     reported = float(error_line.split(":")[-1])
     assert reported <= 1e-6
+
+
+def test_simulate_with_lift_integrates_each_flow_once(files, capsys, tmp_path, monkeypatch):
+    lift_path = tmp_path / "lift.json"
+    assert main(["lift", files["five_state"], "-o", str(lift_path)]) == 0
+    capsys.readouterr()
+    calls = []
+    kernel = numeric.RK4_KERNEL
+
+    def counting_kernel(*args):
+        calls.append(len(args[5]))  # the state's dimension
+        return kernel(*args)
+
+    monkeypatch.setattr(numeric, "RK4_KERNEL", counting_kernel)
+    out = tmp_path / "traj.csv"
+    x0 = "0.1,-0.2,0.3,-0.4,0.5"
+    argv = ["simulate", files["five_state"], "--lift", str(lift_path), "--x0", x0,
+            "--t", "2", "-o", str(out)]
+    assert main(argv) == 0
+    assert calls == [5, 21]  # the original system once, then the lift once
+    monkeypatch.setattr(numeric, "RK4_KERNEL", kernel)
+
+    s = parse_system(FIVE_STATE)
+    xs = [float(v) for v in x0.split(",")]
+    traj = simulate(s.rhs, xs, 2.0, 1e-3)
+    csv = io.StringIO()
+    write_trajectory_csv(traj, s.vars.names, csv)
+    assert out.read_text() == csv.getvalue()
+    error = verify_numeric(s, load_lift(str(lift_path)), xs, 2.0, 1e-3)
+    assert capsys.readouterr().out == (
+        f"max projection error on [0, 2]: {error:.3e}\n"
+        f"trajectory written to {out} (2001 samples)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, x0",
+    [(FIVE_STATE, "0.1,0.2,0.3,0.4,0.5"), (cascade_text(5, 2), "0.7,-0.6,0.5,-0.8,0.9")],
+    ids=["fivestate", "cascade(5,2)"],
+)
+def test_simulate_output_is_the_same_on_either_backend(
+    compiled_ext, monkeypatch, tmp_path, capsys, text, x0
+):
+    system = tmp_path / "system.sys"
+    system.write_text(text)
+    lift_path = tmp_path / "lift.json"
+    assert main(["lift", str(system), "-o", str(lift_path)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", str(system), "--lift", str(lift_path), "--x0", x0, "--t", "1"]
+
+    monkeypatch.setattr(numeric, "FORMAT_ROWS", compiled_ext.format_rows)
+    assert main(argv) == 0
+    compiled = capsys.readouterr().out
+
+    env = dict(os.environ, SLIN_PURE_PYTHON="1", SLIN_COLOR="0")
+    src = str(Path(slin.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    pure = subprocess.run(
+        [sys.executable, "-m", "slin.cli", *argv],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert compiled == pure
+    assert compiled.count("\n") == 1 + 1 + 1001  # error line, header, samples
 
 
 def test_simulate_zero_horizon_single_row(files, tmp_path):

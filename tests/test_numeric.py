@@ -1,21 +1,17 @@
 """Backend equivalence and the compiled-field representation."""
 
-import importlib.util
 import math
 import os
 import random
-import shutil
-import subprocess
-import sys
-import sysconfig
 from array import array
-from pathlib import Path
 
 import pytest
 
 from slin import parse_system, superlinearize
+from slin.document import document_to_lift, lift_to_document
 from slin.numeric import (
     BACKEND,
+    FORMAT_ROWS,
     compile_affine,
     compile_field,
     integrate,
@@ -32,39 +28,15 @@ try:
 except ImportError:
     HAVE_EXT = False
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(scope="module")
-def compiled_kernel(tmp_path_factory):
-    """The C kernel built from this checkout into a temporary directory.
-
-    Building here, rather than importing an installed copy, means the kernel
-    is tested even when no in-place build exists, and a stale build from
-    other sources is never the one tested.
-    """
-    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc}) on PATH")
-    tmp = tmp_path_factory.mktemp("rk4build")
-    env = {k: v for k, v in os.environ.items() if k != "SLIN_NO_EXT"}
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
-        cwd=ROOT, env=env, capture_output=True, text=True,
-    )
-    built = list((tmp / "lib" / "slin").glob("_rk4.*"))
-    assert proc.returncode == 0 and len(built) == 1, proc.stdout + proc.stderr
-    spec = importlib.util.spec_from_file_location("slin._rk4", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.rk4_kernel
-
 
 def test_backend_reports_a_known_name():
     assert BACKEND in ("c", "python")
     if HAVE_EXT and os.environ.get("SLIN_PURE_PYTHON") != "1":
         assert BACKEND == "c"
+
+
+def test_row_formatter_comes_with_the_c_backend():
+    assert (FORMAT_ROWS is not None) == (BACKEND == "c")
 
 
 def test_compiled_field_evaluation_matches_polynomials():
@@ -178,6 +150,18 @@ def _csr_bytes(cf):
 def test_compile_affine_equals_compile_field_of_the_lift(system):
     sl = superlinearize(system())
     assert _csr_bytes(compile_affine(sl.A, sl.D)) == _csr_bytes(compile_field(sl.field()))
+
+
+def test_lift_compiles_its_field_on_first_use_only():
+    sl = superlinearize(cascade(5, 2))
+    reloaded = document_to_lift(lift_to_document(sl))
+    # neither construction nor loading a document compiles the field
+    assert "compiled_field" not in vars(sl)
+    assert "compiled_field" not in vars(reloaded)
+    cf = sl.compiled_field
+    assert sl.compiled_field is cf
+    assert _csr_bytes(cf) == _csr_bytes(compile_affine(sl.A, sl.D))
+    assert _csr_bytes(reloaded.compiled_field) == _csr_bytes(cf)
 
 
 def test_offset_lift_has_a_nonzero_offset():

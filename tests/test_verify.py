@@ -2,9 +2,13 @@
 
 import io
 import math
+import random
+from array import array
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slin import (
     DimensionMismatchError,
@@ -16,9 +20,10 @@ from slin import (
     verify_numeric,
     verify_symbolic,
 )
+from slin import numeric
 from slin.lift import Observable, SuperLinearization
 from slin.numeric import integrate
-from slin.verify import write_trajectory_csv
+from slin.verify import Trajectory, write_trajectory_csv
 
 from helpers import P, five_state, space, two_state
 
@@ -224,3 +229,106 @@ def test_trajectory_csv_equals_per_row_writes():
     buf = io.StringIO()
     write_trajectory_csv(traj, s.vars.names, buf)
     assert buf.getvalue() == expected.getvalue()
+
+
+# --- compiled row formatter ------------------------------------------------------
+
+
+def _csv_text(traj, names, format_rows):
+    """`write_trajectory_csv`'s text with the given row formatter (None: repr)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "FORMAT_ROWS", format_rows)
+        buf = io.StringIO()
+        write_trajectory_csv(traj, names, buf)
+    return buf.getvalue()
+
+
+def _trajectory_of(values, width):
+    """A synthetic trajectory laying `values` out `width` to a row, t first."""
+    values = list(values)
+    values += [0.0] * (-len(values) % width)
+    rows = [tuple(values[i : i + width]) for i in range(0, len(values), width)]
+    return Trajectory(tuple(r[0] for r in rows), tuple(r[1:] for r in rows))
+
+
+def _assert_rows_match_repr(compiled_ext, values, width=4):
+    traj = _trajectory_of(values, width)
+    names = [f"x{i}" for i in range(1, width)]
+    assert _csv_text(traj, names, compiled_ext.format_rows) == _csv_text(traj, names, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.floats(), st.floats(-(2.0**55), 2.0**55)), max_size=64
+    )
+)
+def test_row_formatter_equals_repr_on_any_float(compiled_ext, values):
+    _assert_rows_match_repr(compiled_ext, values)
+
+
+def _edge_values():
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308]
+    # the ends of the window the exact fast path covers
+    for end in (2.0**-12, 2.0**54):
+        values += [end, math.nextafter(end, 0.0), math.nextafter(end, math.inf)]
+    values += [2.0**e for e in range(-20, 61)]
+    # where repr switches between positional and exponent form
+    for switch in (1e-5, 1e-4, 9999999999999998.0, 1e16):
+        values += [switch, math.nextafter(switch, 0.0), math.nextafter(switch, math.inf)]
+    for step in (1e-3, 5e-4, 0.1):
+        values += [k * step for k in range(20001)]
+    return values + [-v for v in values]
+
+
+def test_row_formatter_equals_repr_on_edge_values(compiled_ext):
+    _assert_rows_match_repr(compiled_ext, _edge_values())
+
+
+def test_row_formatter_equals_repr_on_a_million_bit_patterns(compiled_ext):
+    rng = random.Random(20261018)
+    n = 1_000_000
+    words = array("Q", rng.randbytes(8 * n))
+    # Every other pattern gets a binary exponent around the fast path's window
+    # 2^-12 <= |v| < 2^54; the rest keep uniformly random bits.
+    keep = (1 << 63) | ((1 << 52) - 1)
+    for i in range(0, n, 2):
+        words[i] = (words[i] & keep) | (rng.randrange(1000, 1081) << 52)
+    _assert_rows_match_repr(compiled_ext, array("d", words.tobytes()), width=10)
+
+
+class _Float(float):
+    pass
+
+
+def test_row_formatter_renders_other_entries_with_repr(compiled_ext):
+    entries = [3, -7, 2**70, True, False, _Float(0.1), _Float(-2.5e-300), Fraction(1, 3)]
+    try:
+        import numpy as np
+    except ImportError:
+        pass
+    else:
+        entries += [np.float64(0.1), np.float64(-1e300), np.float32(0.1), np.int64(3)]
+    traj = Trajectory(
+        tuple(entries), tuple([e, 0.5, e] for e in reversed(entries))
+    )
+    names = ("x", "y", "z")
+    assert _csv_text(traj, names, compiled_ext.format_rows) == _csv_text(traj, names, None)
+
+
+def test_row_formatter_streams_long_trajectories_in_chunks(compiled_ext):
+    s = two_state()
+    traj = simulate(s.rhs, [1.0, 0.5], 10.0, 1e-3)
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "FORMAT_ROWS", compiled_ext.format_rows)
+        buf = Sink()
+        write_trajectory_csv(traj, s.vars.names, buf)
+    assert len(writes) == 1 + math.ceil(len(traj) / 4096)  # header, then chunks
+    assert buf.getvalue() == _csv_text(traj, s.vars.names, None)
