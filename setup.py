@@ -1,10 +1,11 @@
 """Build script: compiles the optional C extension when a C compiler exists.
 
 The package is pure Python plus one optional speedup, `slin._rk4`, written in
-plain C against the CPython API: the RK4 stepping kernel and the formatter of
-trajectory CSV rows. A missing compiler must never block installation (the
-import falls back to the pure kernel and to `repr`). Set SLIN_NO_EXT=1 to
-skip the extension explicitly.
+plain C against the CPython API: the RK4 stepping kernel, the evaluation of
+a lift's start state, the projection error of the numeric check and the
+formatter of trajectory CSV rows. A missing compiler must never block
+installation (the import falls back to the pure twins and to `repr`). Set
+SLIN_NO_EXT=1 to skip the extension explicitly.
 """
 
 import os

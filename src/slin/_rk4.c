@@ -5,7 +5,10 @@
  * without floating-point contraction (-ffp-contract=off, set in setup.py):
  * a fused multiply-add rounds once where Python rounds twice.
  *
- * The module also formats trajectory rows as CSV text (format_rows), every
+ * The module also evaluates a compiled polynomial map once (eval_into, the
+ * start state of a lift), takes the projection error between two flat
+ * trajectories (projection_error), each mirroring its pure twin in
+ * slin.numeric, and formats trajectory rows as CSV text (format_rows), every
  * value byte for byte equal to its Python repr.
  */
 
@@ -62,27 +65,29 @@ get_buffer(PyObject *obj, char typecode, int flags, Py_buffer *view,
     return -1;
 }
 
-/* The indices the kernel follows stay inside the buffers they index. */
+/* The indices the evaluation follows stay inside the buffers they index:
+ * n_out components over a state of n_in doubles. */
 static int
-check_layout(Py_ssize_t dim, const Py_buffer *cp, const Py_buffer *co,
-             const Py_buffer *tp, const Py_buffer *fv, const Py_buffer *fe)
+check_layout(Py_ssize_t n_out, Py_ssize_t n_in, const Py_buffer *cp,
+             const Py_buffer *co, const Py_buffer *tp, const Py_buffer *fv,
+             const Py_buffer *fe)
 {
     const int *comp_ptr = cp->buf, *term_ptr = tp->buf, *fvar = fv->buf;
     Py_ssize_t n_terms = co->len / co->itemsize;
     Py_ssize_t n_factors = fv->len / fv->itemsize;
-    if (cp->len / cp->itemsize != dim + 1 || comp_ptr[0] != 0
-        || comp_ptr[dim] != n_terms || tp->len / tp->itemsize != n_terms + 1
+    if (cp->len / cp->itemsize != n_out + 1 || comp_ptr[0] != 0
+        || comp_ptr[n_out] != n_terms || tp->len / tp->itemsize != n_terms + 1
         || term_ptr[0] != 0 || term_ptr[n_terms] != n_factors
         || fe->len / fe->itemsize != n_factors)
         goto bad;
-    for (Py_ssize_t c = 0; c < dim; c++)
+    for (Py_ssize_t c = 0; c < n_out; c++)
         if (comp_ptr[c] > comp_ptr[c + 1])
             goto bad;
     for (Py_ssize_t t = 0; t < n_terms; t++)
         if (term_ptr[t] > term_ptr[t + 1])
             goto bad;
     for (Py_ssize_t f = 0; f < n_factors; f++)
-        if (fvar[f] < 0 || fvar[f] >= dim)
+        if (fvar[f] < 0 || fvar[f] >= n_in)
             goto bad;
     return 0;
 bad:
@@ -123,7 +128,7 @@ rk4_kernel(PyObject *self, PyObject *args)
                      (Py_ssize_t)sizeof(double), n_steps, dim);
         goto done;
     }
-    if (check_layout(dim, &views[0], &views[1], &views[2], &views[3],
+    if (check_layout(dim, dim, &views[0], &views[1], &views[2], &views[3],
                      &views[4]) < 0)
         goto done;
 
@@ -179,6 +184,102 @@ rk4_kernel(PyObject *self, PyObject *args)
 done:
     while (held > 0)
         PyBuffer_Release(&views[--held]);
+    return result;
+}
+
+static PyObject *
+py_eval_into(PyObject *self, PyObject *args)
+{
+    static const char *names[] = {"comp_ptr", "coeff", "term_ptr", "fvar",
+                                  "fexp", "y", "res"};
+    static const char codes[] = "idiiidd";
+    PyObject *objs[7];
+    Py_buffer views[7];
+    Py_ssize_t held = 0;
+    PyObject *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "OOOOOOO:eval_into", &objs[0], &objs[1],
+                          &objs[2], &objs[3], &objs[4], &objs[5], &objs[6]))
+        return NULL;
+    for (; held < 7; held++)
+        if (get_buffer(objs[held], codes[held], held == 6 ? PyBUF_WRITABLE : 0,
+                       &views[held], names[held]) < 0)
+            goto done;
+
+    Py_ssize_t n_in = views[5].len / (Py_ssize_t)sizeof(double);
+    Py_ssize_t n_out = views[6].len / (Py_ssize_t)sizeof(double);
+    uintptr_t y = (uintptr_t)views[5].buf, res = (uintptr_t)views[6].buf;
+    /* eval_into reads y through a restrict pointer while it writes res. */
+    if (n_in > 0 && n_out > 0 && y < res + (uintptr_t)views[6].len
+        && res < y + (uintptr_t)views[5].len) {
+        PyErr_SetString(PyExc_ValueError, "res must not overlap y");
+        goto done;
+    }
+    if (check_layout(n_out, n_in, &views[0], &views[1], &views[2], &views[3],
+                     &views[4]) < 0)
+        goto done;
+    eval_into(n_out, views[0].buf, views[1].buf, views[2].buf, views[3].buf,
+              views[4].buf, views[5].buf, views[6].buf);
+    Py_INCREF(Py_None);
+    result = Py_None;
+done:
+    while (held > 0)
+        PyBuffer_Release(&views[--held]);
+    return result;
+}
+
+/* max over i < n and samples k of |zs[k*dim_z + i] - xs[k*n + i]|, taken as
+ * numeric.projection_error_python takes it: the first value of a column
+ * stands until a later one compares greater, column by column, then over
+ * the columns in order. */
+static PyObject *
+projection_error(PyObject *self, PyObject *args)
+{
+    PyObject *zobj, *xobj, *result = NULL;
+    Py_ssize_t dim_z, n;
+    Py_buffer zv, xv;
+
+    if (!PyArg_ParseTuple(args, "OnOn:projection_error", &zobj, &dim_z, &xobj,
+                          &n))
+        return NULL;
+    if (get_buffer(zobj, 'd', 0, &zv, "zs") < 0)
+        return NULL;
+    if (get_buffer(xobj, 'd', 0, &xv, "xs") < 0) {
+        PyBuffer_Release(&zv);
+        return NULL;
+    }
+    Py_ssize_t len_z = zv.len / (Py_ssize_t)sizeof(double);
+    Py_ssize_t len_x = xv.len / (Py_ssize_t)sizeof(double);
+    if (n < 0 || dim_z < n || dim_z < 1 || len_z % dim_z != 0
+        || (n > 0 && len_x % n != 0)) {
+        PyErr_SetString(PyExc_ValueError, "zs must hold whole samples of "
+                        "dim_z >= n doubles and xs whole samples of n");
+        goto done;
+    }
+    double best = 0.0;
+    if (n > 0) {
+        Py_ssize_t samples = len_z / dim_z < len_x / n ? len_z / dim_z
+                                                       : len_x / n;
+        if (samples == 0) {
+            PyErr_SetString(PyExc_ValueError, "no samples to compare");
+            goto done;
+        }
+        const double *zs = zv.buf, *xs = xv.buf;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            double col = fabs(zs[i] - xs[i]);
+            for (Py_ssize_t k = 1; k < samples; k++) {
+                double d = fabs(zs[k * dim_z + i] - xs[k * n + i]);
+                if (d > col)
+                    col = d;
+            }
+            if (i == 0 || col > best)
+                best = col;
+        }
+    }
+    result = PyFloat_FromDouble(best);
+done:
+    PyBuffer_Release(&xv);
+    PyBuffer_Release(&zv);
     return result;
 }
 
@@ -461,6 +562,14 @@ static PyMethodDef methods[] = {
      "rk4_kernel(comp_ptr, coeff, term_ptr, fvar, fexp, y, step, n_steps, out)"
      "\n--\n\nRK4 stepping over a compiled field; see "
      "slin.numeric.rk4_kernel_python for the contract."},
+    {"eval_into", py_eval_into, METH_VARARGS,
+     "eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, y, res)\n--\n\n"
+     "Write the len(res) components of a compiled polynomial map at the "
+     "point y into res; see slin.numeric._eval_into for the contract."},
+    {"projection_error", projection_error, METH_VARARGS,
+     "projection_error(zs, dim_z, xs, n)\n--\n\nLargest |z_i - x_i|, "
+     "i < n, over the samples of two flat trajectories; see "
+     "slin.numeric.projection_error_python for the contract."},
     {"format_rows", format_rows, METH_VARARGS,
      "format_rows(times, states, start, stop)\n--\n\nCSV rows start:stop "
      "of a trajectory, one 't,<state...>' line per sample, every value "
@@ -471,8 +580,9 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "slin._rk4",
-    .m_doc = "Compiled RK4 stepping kernel, bit for bit equal to the pure one, "
-             "and a CSV row formatter, byte for byte equal to repr.",
+    .m_doc = "Compiled RK4 stepping kernel, polynomial map evaluation and "
+             "projection error, bit for bit equal to their pure twins, and a "
+             "CSV row formatter, byte for byte equal to repr.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .lift import superlinearize, xumama_check
 from .sysparse import load_system
-from .verify import _projection_error, simulate, verify_symbolic, write_trajectory_csv
+from .verify import _projection_error, _simulate, verify_symbolic, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,12 +129,11 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
 
     try:
-        traj = simulate(sys_.rhs, x0, args.t, args.step)
+        traj, xs = _simulate(sys_.rhs, x0, args.t, args.step)
         if args.lift:
             sl = load_lift(args.lift)
             # The numeric check against the trajectory already integrated.
-            x_columns = list(zip(*traj.states))
-            error = _projection_error(sys_, sl, x_columns, x0, args.t, args.step)
+            error = _projection_error(sl, xs, sys_.dim, x0, args.t, args.step)
             print(f"max projection error on [0, {args.t:g}]: {error:.3e}")
     except ValueError as exc:  # bad --t, --step or --x0, or too many samples
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from .errors import (
     InternalInvariantError,
     SpaceMismatchError,
 )
-from .numeric import CompiledField, compile_affine
+from .numeric import CompiledField, compile_affine, compile_map
 from .poly import Polynomial, VariableSpace, grlex_key, lie_derivative
 from .sysparse import PolySystem
 
@@ -147,6 +147,13 @@ class SuperLinearization:
     def compiled_field(self) -> CompiledField:
         """``compile_affine(A, D)``, built on first numeric use and kept."""
         return compile_affine(self.A, self.D)
+
+    @cached_property
+    def compiled_expansions(self) -> CompiledField:
+        """``compile_map`` of the observables' expansions, built on first
+        numeric use and kept; it evaluates p(x0) as `Polynomial.evaluate`
+        does, bit for bit."""
+        return compile_map([obs.expansion for obs in self.observables])
 
 
 @dataclass(frozen=True)

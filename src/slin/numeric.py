@@ -4,29 +4,42 @@ A vector field is flattened once into CSR-style arrays (`compile_field`) and
 then stepped with classic fixed-step RK4. An affine field ``z' = A z + D``,
 such as a lift's, is flattened straight from its matrix and offset
 (`compile_affine`) into the same arrays `compile_field` makes of its row
-polynomials, without building those polynomials; a lift compiles itself this
-way once (`SuperLinearization.compiled_field`) and `verify.verify_numeric`
-integrates it from there.
+polynomials, without building those polynomials. A system and a lift each
+compile their field once (`PolySystem.compiled_field`,
+`SuperLinearization.compiled_field`) and `verify.verify_numeric` integrates
+them from there.
+
+The same arrays also hold a polynomial map that is not square
+(`compile_map`), such as a lift's expansions, m polynomials over n
+variables. `evaluate_compiled` evaluates it bit for bit as
+`Polynomial.evaluate` evaluates each polynomial; that is how the start state
+``(x0, p(x0))`` of a lift is computed.
 
 The stepping kernel exists twice with identical semantics: a C extension
 (`slin._rk4`, hand-written against the CPython API and built by setuptools
 when a C compiler is present) and the pure-Python twin below. Both perform
 the same IEEE double operations in the same order, so their trajectories
-agree bit for bit; `benchmarks/bench_rk4.py` compares their speed.
+agree bit for bit. The same holds for the evaluation of a compiled map
+(`EVAL_INTO`, pure twin `_eval_into`) and for the projection error between
+two flat trajectories (`PROJECTION_ERROR`, pure twin
+`projection_error_python`).
 
 The extension also formats trajectory rows as CSV text (`FORMAT_ROWS`, used by
 `verify.write_trajectory_csv`), every value byte for byte equal to ``repr``;
 without it the rows are written with ``repr`` itself.
 
-The extension is picked at import when present, and `BACKEND` reports the
-backend in use: ``"c"`` or ``"python"``; `FORMAT_ROWS` is None exactly when
-it is ``"python"``. Set ``SLIN_PURE_PYTHON=1`` to force the fallback (useful
-for benchmarking and debugging).
+The extension is picked at import when present with every one of these
+functions, and `BACKEND` reports the backend in use: ``"c"`` or
+``"python"``. A stale build that lacks one of them selects the pure twins of
+all of them; `FORMAT_ROWS` is None exactly when `BACKEND` is ``"python"``.
+Set ``SLIN_PURE_PYTHON=1`` to force the fallback (useful for benchmarking
+and debugging).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from array import array
 from dataclasses import dataclass
@@ -37,9 +50,11 @@ from .poly import Polynomial, grlex_key
 
 @dataclass(frozen=True)
 class CompiledField:
-    """Flattened sparse polynomial vector field.
+    """Flattened sparse polynomials: a vector field, or any polynomial map.
 
-    Component c owns terms comp_ptr[c]:comp_ptr[c+1]; term t has coefficient
+    `dim` is the number of components; a field the kernel steps has as many
+    variables as components. Component c owns terms
+    comp_ptr[c]:comp_ptr[c+1]; term t has coefficient
     coeff[t] and factors term_ptr[t]:term_ptr[t+1], each factor being
     variable fvar[f] raised to fexp[f] (by repeated multiplication, so
     overflow saturates to inf instead of raising).
@@ -54,24 +69,42 @@ class CompiledField:
 
 
 def compile_field(field: Sequence[Polynomial]) -> CompiledField:
+    """A square field in CSR form, each component's terms in graded-lex
+    descending order."""
     dim = len(field)
+    if any(len(p.space) != dim for p in field):
+        raise ValueError("field must be square: one component per variable")
+    return _flatten(field, lambda p: sorted(p.terms, key=grlex_key, reverse=True))
+
+
+def compile_map(polys: Sequence[Polynomial]) -> CompiledField:
+    """Polynomials over one space in CSR form, for `evaluate_compiled`.
+
+    ``dim`` is the number of polynomials. Each keeps its terms in dict order,
+    so evaluating the result takes the same double operations in the same
+    order as `Polynomial.evaluate`.
+    """
+    return _flatten(polys, lambda p: p.terms)
+
+
+def _flatten(polys, term_order) -> CompiledField:
     comp_ptr = array("i", [0])
     coeff = array("d")
     term_ptr = array("i", [0])
     fvar = array("i")
     fexp = array("i")
-    for p in field:
-        if len(p.space) != dim:
-            raise ValueError("field must be square: one component per variable")
-        for mono in sorted(p.terms, key=grlex_key, reverse=True):
-            coeff.append(float(p.terms[mono]))
+    for p in polys:
+        for mono in term_order(p):
+            c = p.terms[mono]
+            # Rounded once, as float(Fraction) and Polynomial.evaluate round it.
+            coeff.append(c.numerator / c.denominator)
             for var, e in enumerate(mono):
                 if e:
                     fvar.append(var)
                     fexp.append(e)
             term_ptr.append(len(fvar))
         comp_ptr.append(len(coeff))
-    return CompiledField(dim, comp_ptr, coeff, term_ptr, fvar, fexp)
+    return CompiledField(len(polys), comp_ptr, coeff, term_ptr, fvar, fexp)
 
 
 def compile_affine(A: Sequence[Sequence], D: Sequence) -> CompiledField:
@@ -103,10 +136,9 @@ def compile_affine(A: Sequence[Sequence], D: Sequence) -> CompiledField:
     return CompiledField(dim, comp_ptr, coeff, term_ptr, fvar, fexp)
 
 
-def _eval_into(cf_arrays, y, res):
-    comp_ptr, coeff, term_ptr, fvar, fexp = cf_arrays
-    dim = len(res)
-    for c in range(dim):
+def _eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, y, res):
+    """Write the len(res) components of a compiled map at point `y` into `res`."""
+    for c in range(len(res)):
         acc = 0.0
         for t in range(comp_ptr[c], comp_ptr[c + 1]):
             v = coeff[t]
@@ -127,7 +159,6 @@ def rk4_kernel_python(
     (n_steps + 1) * dim doubles. Returns the number of completed steps with a
     finite state; fewer than n_steps means divergence.
     """
-    arrays = (comp_ptr, coeff, term_ptr, fvar, fexp)
     dim = len(y)
     y = list(y)
     lost = [0.0] * dim  # Kahan compensation per component
@@ -140,16 +171,16 @@ def rk4_kernel_python(
     sixth = step / 6.0
     out[0:dim] = array("d", y)
     for s in range(n_steps):
-        _eval_into(arrays, y, k1)
+        _eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, y, k1)
         for i in range(dim):
             ytmp[i] = y[i] + half * k1[i]
-        _eval_into(arrays, ytmp, k2)
+        _eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k2)
         for i in range(dim):
             ytmp[i] = y[i] + half * k2[i]
-        _eval_into(arrays, ytmp, k3)
+        _eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k3)
         for i in range(dim):
             ytmp[i] = y[i] + step * k3[i]
-        _eval_into(arrays, ytmp, k4)
+        _eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k4)
         ok = True
         for i in range(dim):
             # Compensated accumulation keeps the roundoff floor of long
@@ -167,17 +198,33 @@ def rk4_kernel_python(
     return n_steps
 
 
+def projection_error_python(zs, dim_z, xs, n) -> float:
+    """Largest ``|z_i - x_i|`` over ``i < n`` and the samples of two flat
+    trajectories, `zs` with `dim_z` doubles per sample and `xs` with `n`."""
+    return max(
+        (
+            max(map(abs, map(operator.sub, zs[i::dim_z], xs[i::n])))
+            for i in range(n)
+        ),
+        default=0.0,
+    )
+
+
+_PURE = (rk4_kernel_python, None, _eval_into, projection_error_python, "python")
+
+
 def _select_backend():
     if os.environ.get("SLIN_PURE_PYTHON") == "1":
-        return rk4_kernel_python, None, "python"
+        return _PURE
     try:
-        from ._rk4 import format_rows, rk4_kernel
+        # All or nothing: a stale build without one of them runs none of them.
+        from ._rk4 import eval_into, format_rows, projection_error, rk4_kernel
     except ImportError:
-        return rk4_kernel_python, None, "python"
-    return rk4_kernel, format_rows, "c"
+        return _PURE
+    return rk4_kernel, format_rows, eval_into, projection_error, "c"
 
 
-RK4_KERNEL, FORMAT_ROWS, BACKEND = _select_backend()
+RK4_KERNEL, FORMAT_ROWS, EVAL_INTO, PROJECTION_ERROR, BACKEND = _select_backend()
 
 
 def integrate(
@@ -195,10 +242,19 @@ def integrate_compiled(
         raise ValueError(f"state has {len(y0)} entries, field has {cf.dim}")
     kernel = kernel or RK4_KERNEL
     y = array("d", [float(v) for v in y0])
-    out = array("d", bytes(8 * (n_steps + 1) * cf.dim))
+    out = array("d", [0.0]) * ((n_steps + 1) * cf.dim)
     completed = kernel(
         cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp, y, step, n_steps, out
     )
     if completed == n_steps:
         return out, completed
     return out[: (completed + 1) * cf.dim], completed
+
+
+def evaluate_compiled(cf: CompiledField, point: Sequence[float]) -> array:
+    """The `cf.dim` values of a compiled map (`compile_map`) at `point`."""
+    res = array("d", [0.0]) * cf.dim
+    EVAL_INTO(
+        cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp, array("d", point), res
+    )
+    return res

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
+from . import numeric
 from .errors import NonPolynomialError, ParseError
 from .poly import Polynomial, VariableSpace
 
@@ -45,6 +47,11 @@ class PolySystem:
     @property
     def dim(self) -> int:
         return len(self.vars)
+
+    @cached_property
+    def compiled_field(self) -> numeric.CompiledField:
+        """``compile_field(rhs)``, built on first numeric use and kept."""
+        return numeric.compile_field(self.rhs)
 
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")

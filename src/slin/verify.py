@@ -8,16 +8,21 @@ implies agreement for all time.
 
 The numeric check is advisory: it integrates both systems with the same
 fixed-step RK4 grid (identical settings, so integration error is the only
-residual) and reports the worst projection error over the samples. The
-lifted field ``z' = A z + D`` is compiled straight from the lift's ``A`` and
-``D`` (`numeric.compile_affine`), so a call costs time in proportion to its
-samples, not to the size of the lift's symbolic objects.
+residual) and reports the worst projection error over the samples. Nothing
+symbolic is rebuilt per call: the system and the lift each keep their
+compiled field (the lift's straight from ``A`` and ``D``, by
+`numeric.compile_affine`) and the lift its compiled expansions, from which
+the start state ``(x0, p(x0))`` is one evaluation. That evaluation and the
+projection error are taken by the C extension when it is built and by their
+pure twins in `numeric` without it, with the same result bit for bit. So a
+call costs time in proportion to its samples, not to the size of the lift's
+symbolic objects.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -140,12 +145,17 @@ def simulate(
     Raises DivergenceError (carrying the last finite sample time) when the
     state leaves the finite range.
     """
+    return _simulate(field, x0, t_end, step)[0]
+
+
+def _simulate(field: Sequence[Polynomial], x0, t_end, step) -> tuple:
+    """`simulate`'s trajectory and the flat states it groups into samples."""
     states, n_steps = _integrate_checked(field, x0, t_end, step)
     dim = len(field)
     times = tuple(k * step for k in range(n_steps + 1))
     # Component i of every sample is a strided slice of the flat states.
     grouped = tuple(zip(*(states[i::dim] for i in range(dim))))
-    return Trajectory(times, grouped)
+    return Trajectory(times, grouped), states
 
 
 def verify_numeric(
@@ -155,42 +165,35 @@ def verify_numeric(
 
     Integrates dx/dt = f(x) from x0 and dz/dt = A z + D from (x0, p(x0)) and
     returns max over samples of the infinity norm of the first n coordinates
-    of z minus x. The lifted field is ``sl.compiled_field``, compiled from
-    ``sl.A`` and ``sl.D`` directly; it equals `compile_field(sl.field())`.
+    of z minus x. The fields are ``sys.compiled_field`` and
+    ``sl.compiled_field``, the latter compiled from ``sl.A`` and ``sl.D``
+    directly; it equals `compile_field(sl.field())`. A lift over another
+    dimension raises DimensionMismatchError before anything is integrated.
     """
-    xs, _ = _integrate_checked(sys.rhs, x0, t_end, step)
-    # Coordinate i of every sample is a strided slice of the flat states.
-    n = sys.dim
-    return _projection_error(sys, sl, [xs[i::n] for i in range(n)], x0, t_end, step)
+    _check_dimension(sl, sys.dim)
+    xs, _ = _integrate_checked(sys.compiled_field, x0, t_end, step)
+    return _projection_error(sl, xs, sys.dim, x0, t_end, step)
+
+
+def _check_dimension(sl, n: int) -> None:
+    if sl.n != n:
+        raise DimensionMismatchError(f"lift has n={sl.n}, system has dimension {n}")
 
 
 def _projection_error(
-    sys: PolySystem,
-    sl,
-    x_columns: Sequence[Sequence[float]],
-    x0: Sequence[float],
-    t_end: float,
-    step: float,
+    sl, xs: array, n: int, x0: Sequence[float], t_end: float, step: float
 ) -> float:
     """`verify_numeric` given the original flow already integrated.
 
-    `x_columns[i]` holds coordinate i of every sample of the RK4 run of
-    `sys` from `x0` on the same grid, as `simulate` or the kernel made it.
+    `xs` holds the flat states, `n` doubles per sample, of the RK4 run of
+    the n-dimensional system from `x0` on the same grid, as the kernel made
+    them.
     """
-    if sl.n != sys.dim:
-        raise DimensionMismatchError(
-            f"lift has n={sl.n}, system has dimension {sys.dim}"
-        )
-    z0 = [float(v) for v in x0]
-    z0.extend(obs.expansion.evaluate(x0) for obs in sl.observables)
+    _check_dimension(sl, n)
+    z0 = array("d", x0)
+    z0 += numeric.evaluate_compiled(sl.compiled_expansions, z0)
     zs, _ = _integrate_checked(sl.compiled_field, z0, t_end, step)
-    return max(
-        (
-            max(map(abs, map(operator.sub, zs[i :: sl.dim], column)))
-            for i, column in enumerate(x_columns)
-        ),
-        default=0.0,
-    )
+    return numeric.PROJECTION_ERROR(zs, sl.dim, xs, n)
 
 
 # Rows per `fh.write` on the compiled path, so that no single string holds a

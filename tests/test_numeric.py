@@ -3,23 +3,32 @@
 import math
 import os
 import random
+import sys
+import types
 from array import array
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slin import parse_system, superlinearize
+from slin import Polynomial, numeric, parse_system, superlinearize
 from slin.document import document_to_lift, lift_to_document
 from slin.numeric import (
     BACKEND,
     FORMAT_ROWS,
     compile_affine,
     compile_field,
+    compile_map,
+    evaluate_compiled,
     integrate,
     integrate_compiled,
+    projection_error_python,
     rk4_kernel_python,
 )
 
-from helpers import cascade, five_state, two_state
+from helpers import cascade, five_state, space, two_state
 
 try:
     import slin._rk4  # noqa: F401
@@ -162,6 +171,14 @@ def test_lift_compiles_its_field_on_first_use_only():
     assert sl.compiled_field is cf
     assert _csr_bytes(cf) == _csr_bytes(compile_affine(sl.A, sl.D))
     assert _csr_bytes(reloaded.compiled_field) == _csr_bytes(cf)
+    # the same holds for the expansions and for the original system's field
+    assert "compiled_expansions" not in vars(sl)
+    expansions = sl.compiled_expansions
+    assert sl.compiled_expansions is expansions
+    s = cascade(5, 2)
+    assert "compiled_field" not in vars(s)
+    assert s.compiled_field is s.compiled_field
+    assert _csr_bytes(s.compiled_field) == _csr_bytes(compile_field(s.rhs))
 
 
 def test_offset_lift_has_a_nonzero_offset():
@@ -197,3 +214,153 @@ def test_rk4_end_state_agrees_with_dop853(system, x0):
     assert sol.success
     end = states[-s.dim:]
     assert max(abs(a - b) for a, b in zip(end, sol.y[:, -1])) <= 1e-9
+
+
+# --- start state and projection error ---------------------------------------
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def _eval_both(compiled_ext, cf, point):
+    """`evaluate_compiled` with the C helper and with its pure twin."""
+    results = []
+    for helper in (compiled_ext.eval_into, numeric._eval_into):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "EVAL_INTO", helper)
+            results.append(_hex(evaluate_compiled(cf, point)))
+    return results
+
+
+@pytest.mark.parametrize(
+    "system", [two_state, five_state, lambda: cascade(5, 2)],
+    ids=["twostate", "fivestate", "cascade(5,2)"],
+)
+def test_compiled_start_state_equals_evaluate(compiled_ext, system):
+    sl = superlinearize(system())
+    rng = random.Random(7)
+    for _ in range(20):
+        x0 = [rng.uniform(-1.5, 1.5) for _ in range(sl.n)]
+        expected = _hex(o.expansion.evaluate(x0) for o in sl.observables)
+        c, pure = _eval_both(compiled_ext, sl.compiled_expansions, x0)
+        assert c == pure == expected
+
+
+MONOS = [m for m in product(range(4), repeat=3) if sum(m) <= 5]
+wide_coeffs = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+polys = st.dictionaries(st.sampled_from(MONOS), wide_coeffs, max_size=6).map(
+    lambda terms: Polynomial(space("x1 x2 x3"), terms)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(polys, max_size=4), st.tuples(st.floats(), st.floats(), st.floats()))
+def test_compiled_map_equals_evaluate_on_any_point(compiled_ext, ps, point):
+    expected = _hex(p.evaluate(point) for p in ps)
+    c, pure = _eval_both(compiled_ext, compile_map(ps), point)
+    assert c == pure == expected
+
+
+def test_compiled_map_checks_its_buffers(compiled_ext):
+    cf = superlinearize(five_state()).compiled_expansions
+    arrays = [cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp]
+    y = array("d", [0.1, 0.2, 0.3, 0.4, 0.5])
+    res = array("d", [0.0]) * cf.dim
+    compiled_ext.eval_into(*arrays, y, res)
+    with pytest.raises(TypeError):
+        compiled_ext.eval_into(*arrays, array("f", y), res)
+    with pytest.raises(TypeError):
+        compiled_ext.eval_into(*arrays[:4], array("d", cf.fexp), y, res)
+    with pytest.raises(ValueError):
+        compiled_ext.eval_into(*arrays, y[: max(cf.fvar)], res)  # one variable short
+    with pytest.raises(ValueError):
+        compiled_ext.eval_into(*arrays, y, res[:-1])  # one component too few
+    with pytest.raises(ValueError):
+        compiled_ext.eval_into(*arrays, res, res)  # y and res share memory
+
+
+def _projection_errors(compiled_ext, zs, dim_z, xs, n):
+    c = compiled_ext.projection_error(zs, dim_z, xs, n)
+    pure = projection_error_python(zs, dim_z, xs, n)
+    return c.hex(), pure.hex()
+
+
+@pytest.mark.parametrize(
+    "system", [two_state, five_state, lambda: cascade(5, 2)],
+    ids=["twostate", "fivestate", "cascade(5,2)"],
+)
+def test_compiled_projection_error_equals_its_twin_on_lifts(compiled_ext, system):
+    s = system()
+    sl = superlinearize(s)
+    x0 = [0.9 - 0.3 * i for i in range(s.dim)]
+    for step in (0.05, 1e-3):
+        xs, _ = integrate_compiled(s.compiled_field, x0, step, round(2 / step))
+        z0 = array("d", x0) + evaluate_compiled(sl.compiled_expansions, x0)
+        zs, _ = integrate_compiled(sl.compiled_field, z0, step, round(2 / step))
+        c, pure = _projection_errors(compiled_ext, zs, sl.dim, xs, s.dim)
+        assert c == pure
+        assert 0 < float.fromhex(c) < 1e-3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compiled_projection_error_equals_its_twin_on_any_floats(compiled_ext, data):
+    n = data.draw(st.integers(0, 4))
+    dim_z = data.draw(st.integers(max(n, 1), 6))
+    samples = data.draw(st.integers(1, 8))
+    floats = st.floats(width=64)
+    zs = array("d", data.draw(st.lists(floats, min_size=samples * dim_z, max_size=samples * dim_z)))
+    xs = array("d", data.draw(st.lists(floats, min_size=samples * n, max_size=samples * n)))
+    c, pure = _projection_errors(compiled_ext, zs, dim_z, xs, n)
+    assert c == pure
+
+
+def test_compiled_projection_error_checks_its_arguments(compiled_ext):
+    zs, xs = array("d", [0.0] * 6), array("d", [0.0] * 4)
+    assert compiled_ext.projection_error(zs, 3, xs, 2) == 0.0
+    for args in [(zs, 4, xs, 2), (zs, 3, xs[:3], 2), (zs, 1, xs, 2), (zs, 3, xs, -1),
+                 (zs[:0], 3, xs[:0], 2)]:
+        with pytest.raises(ValueError):
+            compiled_ext.projection_error(*args)
+    with pytest.raises(TypeError):
+        compiled_ext.projection_error(array("f", zs), 3, xs, 2)
+
+
+def test_every_twin_comes_with_its_backend():
+    selected = (numeric.RK4_KERNEL, FORMAT_ROWS, numeric.EVAL_INTO, numeric.PROJECTION_ERROR)
+    pure = numeric._PURE[:4]
+    if BACKEND == "python":
+        assert all(a is b for a, b in zip(selected, pure))
+    else:
+        assert all(a is not b for a, b in zip(selected, pure))
+
+
+HELPERS = ("rk4_kernel", "format_rows", "eval_into", "projection_error")
+
+
+@pytest.mark.parametrize("missing", HELPERS)
+def test_a_stale_build_selects_every_pure_twin(monkeypatch, missing):
+    stale = types.ModuleType("slin._rk4")
+    for name in HELPERS:
+        if name != missing:
+            setattr(stale, name, object())
+    monkeypatch.setitem(sys.modules, "slin._rk4", stale)
+    monkeypatch.delenv("SLIN_PURE_PYTHON", raising=False)
+    kernel, format_rows, eval_into, projection_error, backend = numeric._select_backend()
+    assert backend == "python"
+    assert kernel is rk4_kernel_python
+    assert format_rows is None
+    assert eval_into is numeric._eval_into
+    assert projection_error is projection_error_python
+
+
+def test_a_complete_build_selects_every_compiled_helper(monkeypatch):
+    fresh = types.ModuleType("slin._rk4")
+    for name in HELPERS:
+        setattr(fresh, name, object())
+    monkeypatch.setitem(sys.modules, "slin._rk4", fresh)
+    monkeypatch.delenv("SLIN_PURE_PYTHON", raising=False)
+    selected = numeric._select_backend()
+    assert selected == (fresh.rk4_kernel, fresh.format_rows, fresh.eval_into,
+                        fresh.projection_error, "c")

@@ -326,6 +326,72 @@ def test_evaluate_overflows_like_float_on_a_huge_coefficient():
         p.evaluate((1.0, 1.0))
 
 
+# --- sympy oracle ---------------------------------------------------------------
+#
+# Each operation is checked against sympy's expansion of the same expression,
+# code that shares nothing with slin's term dicts. Inputs reach sympy only as
+# their terms; the operation itself is sympy's.
+
+
+def _sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(p):
+    sympy = _sympy()
+    xs = sympy.symbols(p.space.names)
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(x**e for x, e in zip(xs, mono)))
+            for mono, c in p.terms.items()
+        )
+    )
+
+
+def _terms_of(expr, sp):
+    """Nonzero exponent tuple -> Fraction of sympy's expansion of `expr`."""
+    sympy = _sympy()
+    poly = sympy.Poly(sympy.expand(expr), *sympy.symbols(sp.names))
+    return {
+        mono: Fraction(int(c.p), int(c.q)) for mono, c in poly.as_dict().items() if c != 0
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys())
+def test_add_and_mul_agree_with_sympy(p, q):
+    a, b = _to_sympy(p), _to_sympy(q)
+    assert (p + q).terms == _terms_of(a + b, XYZ)
+    assert (p - q).terms == _terms_of(a - b, XYZ)
+    assert (p * q).terms == _terms_of(a * b, XYZ)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), st.integers(min_value=0, max_value=4))
+def test_pow_agrees_with_sympy(p, k):
+    assert (p**k).terms == _terms_of(_to_sympy(p) ** k, XYZ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys())
+def test_differentiate_agrees_with_sympy(p):
+    sympy = _sympy()
+    a = _to_sympy(p)
+    for i, x in enumerate(sympy.symbols(XYZ.names)):
+        assert p.differentiate(i).terms == _terms_of(sympy.diff(a, x), XYZ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.lists(polys(), min_size=3, max_size=3))
+def test_lie_derivative_agrees_with_sympy(p, field):
+    sympy = _sympy()
+    a = _to_sympy(p)
+    xs = sympy.symbols(XYZ.names)
+    expected = sum(sympy.diff(a, x) * _to_sympy(f) for x, f in zip(xs, field))
+    assert lie_derivative(p, field).terms == _terms_of(expected, XYZ)
+
+
 def test_immutability():
     p = P("x1", XY)
     with pytest.raises(AttributeError):

@@ -25,7 +25,7 @@ from slin.lift import Observable, SuperLinearization
 from slin.numeric import integrate
 from slin.verify import Trajectory, write_trajectory_csv
 
-from helpers import P, five_state, space, two_state
+from helpers import BLOWUP, P, five_state, space, two_state
 
 
 def _two_state_lift(a33=Fraction(-2)):
@@ -200,6 +200,28 @@ def test_verify_numeric_dimension_mismatch():
     sl = superlinearize(two_state())
     with pytest.raises(DimensionMismatchError):
         verify_numeric(other, sl, [1.0], 1.0, 1e-3)
+
+
+def test_verify_numeric_checks_the_dimension_before_integrating(monkeypatch):
+    calls = []
+
+    def counting_kernel(*args):
+        calls.append(len(args[5]))
+        return 0
+
+    monkeypatch.setattr(numeric, "RK4_KERNEL", counting_kernel)
+    other = parse_system("vars: u\nu' = -u\n")
+    with pytest.raises(DimensionMismatchError):
+        verify_numeric(other, superlinearize(two_state()), [1.0], 1.0, 1e-3)
+    assert calls == []
+
+
+def test_verify_numeric_dimension_mismatch_on_a_divergent_system():
+    blowup = parse_system(BLOWUP)  # x' = x^2 from x = 1 blows up at t = 1
+    with pytest.raises(DivergenceError):
+        simulate(blowup.rhs, [1.0], 2.0, 1e-3)
+    with pytest.raises(DimensionMismatchError):
+        verify_numeric(blowup, superlinearize(two_state()), [1.0], 2.0, 1e-3)
 
 
 # --- CSV export --------------------------------------------------------------------
