@@ -2,7 +2,7 @@
 
 Exit codes form a small contract for scripting:
   0  success
-  1  usage, parse, schema, or I/O problems
+  1  usage, parse, schema, or I/O problems, a closed stdout included
   2  mathematical negative (condition fails, verification fails, no certificate)
   3  numeric divergence during integration
 
@@ -205,7 +205,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: no such file", file=sys.stderr)
         return EXIT_USAGE
@@ -218,6 +220,11 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except BrokenPipeError:
+        # The reader closed stdout early (`slin simulate ... | head -1`).
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except InternalInvariantError:
         raise  # a bug, not a negative answer: crash loudly
     except SlinError as exc:

@@ -346,6 +346,10 @@ def prop1_lift(
         t = len(observables)
         name = f"{obs_prefix}{obs_start + t}"
         expansion = q.substitute(expansion_map, target=x_target)
+        # Graded-lex descending, the order `render` writes and a reloaded
+        # document reads back, so both sum the terms alike when evaluated.
+        order = sorted(expansion.terms, key=grlex_key, reverse=True)
+        expansion = Polynomial(expansion.space, {m: expansion.terms[m] for m in order})
         observables.append(
             Observable(
                 index=obs_start + t,

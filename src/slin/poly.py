@@ -17,8 +17,10 @@ in the lifting module all use this order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import SpaceMismatchError
@@ -230,6 +232,15 @@ class Polynomial:
         Every variable actually appearing in the polynomial must have an
         image; all images must share one target space. ``target`` is only
         needed when ``images`` is empty (a constant being re-homed).
+
+        The result, dict order included, is that of summing with ``+``, in
+        term order, each term's ``constant(coeff) * images[i]**e * ...``
+        taken in variable order. It is computed on plain ``int`` term dicts:
+        each used image over the lcm of its denominators, its powers cached
+        with their denominators, every term's product formed in the loop
+        order of ``*`` and ``**`` and added into one dict over the terms'
+        common denominator, dropping a key whose sum is zero as ``+`` does.
+        One ``Polynomial`` is built at the end.
         """
         for img in images.values():
             if target is None:
@@ -246,20 +257,45 @@ class Polynomial:
             names = ", ".join(self.space.names[i] for i in missing)
             raise KeyError(f"no substitution image for used variable(s): {names}")
 
-        # Cache image powers; monomials reuse the same small exponents a lot.
-        powers = {i: {0: Polynomial.constant(target, 1)} for i in used}
-        result = Polynomial.zero(target)
+        # A term's denominator is its coefficient's times its factors', known
+        # before any product is formed: one pass fixes the common denominator,
+        # a second forms each term over it and adds it in.
+        zero = (0,) * len(target)
+        ints = {i: _int_terms(images[i]) for i in used}
+        powers = {i: {} for i in used}  # image powers: e -> (int terms, denominator)
+        plan = []
+        common = 1
         for mono, coeff in self.terms.items():
-            term = Polynomial.constant(target, coeff)
+            den = coeff.denominator
+            factors = []
             for i, e in enumerate(mono):
                 if e == 0:
                     continue
                 cache = powers[i]
                 if e not in cache:
-                    cache[e] = images[i] ** e
-                term = term * cache[e]
-            result = result + term
-        return result
+                    base, base_den = ints[i]
+                    cache[e] = (_int_pow(base, e), base_den**e)
+                factor, factor_den = cache[e]
+                factors.append(factor)
+                den *= factor_den
+            plan.append((coeff.numerator, den, factors))
+            common = math.lcm(common, den)
+        out = {}
+        for num, den, factors in plan:
+            scale = num * (common // den)
+            if not factors:
+                term = {zero: scale}
+            else:
+                term = {m: scale * c for m, c in factors[0].items()}
+                for factor in factors[1:]:
+                    term = _int_mul(term, factor)
+            for mono, c in term.items():
+                acc = out.get(mono, 0) + c
+                if acc:
+                    out[mono] = acc
+                else:
+                    out.pop(mono, None)
+        return Polynomial(target, {m: Fraction(c, common) for m, c in out.items()})
 
     def evaluate(self, point: Sequence[float]) -> float:
         """Numeric value at ``point``: direct sum of per-term double products.
@@ -344,6 +380,37 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()!r} over {self.space.names})"
+
+
+def _int_terms(p: Polynomial):
+    """(int terms, denominator): ``p.terms`` over the lcm of its denominators."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
+
+
+def _int_mul(a: dict, b: dict) -> dict:
+    """Product of int term dicts, in the loop order of `Polynomial.__mul__`."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            acc = out.get(mono, 0) + ca * cb
+            if acc:
+                out[mono] = acc
+            else:
+                del out[mono]
+    return out
+
+
+def _int_pow(a: dict, e: int) -> dict:
+    """``a**e`` for ``e >= 1``, squaring as `Polynomial.__pow__` does."""
+    result = None  # the constant 1, whose product with x is x itself
+    while e:
+        if e & 1:
+            result = a if result is None else _int_mul(result, a)
+        a = _int_mul(a, a) if e > 1 else a
+        e >>= 1
+    return result
 
 
 def lie_derivative(p: Polynomial, field: Sequence[Polynomial]) -> Polynomial:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Sequence
 
 from . import numeric
@@ -102,12 +103,20 @@ def _tokenize_line(line: str, lineno: int):
 
 
 class _ExprParser:
-    """Recursive-descent parser for one right-hand-side expression."""
+    """Recursive-descent parser for one right-hand-side expression.
+
+    A factor that is a monomial stays a (coefficient, exponent tuple) pair
+    until its term ends or meets a factor that is not a monomial, so a term
+    builds one `Polynomial`, not one per factor. The result, dict order
+    included, is that of evaluating the expression with `Polynomial`'s
+    operators, left to right.
+    """
 
     def __init__(self, tokens, space: VariableSpace):
         self.tokens = tokens
         self.pos = 0
         self.space = space
+        self.zero = (0,) * len(space)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -140,22 +149,30 @@ class _ExprParser:
         if self.peek().kind == "-":
             self.advance()
             negate = True
-        value = self.term()
-        if negate:
-            value = -value
+        value = self._poly(self.term(), negate)
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            rhs = self.term()
-            value = value + rhs if op.kind == "+" else value - rhs
+            value = value + self._poly(self.term(), op.kind == "-")
         return value
 
-    def term(self) -> Polynomial:
+    def _poly(self, value, negate: bool = False) -> Polynomial:
+        """A factor or term as a `Polynomial`, negated if asked."""
+        if isinstance(value, tuple):
+            coeff, mono = value
+            return Polynomial(self.space, {mono: -coeff if negate else coeff})
+        return -value if negate else value
+
+    def term(self):
         value = self.factor()
         while True:
             tok = self.peek()
             if tok.kind == "*":
                 self.advance()
-                value = value * self.factor()
+                rhs = self.factor()
+                if isinstance(value, tuple) and isinstance(rhs, tuple):
+                    value = (value[0] * rhs[0], tuple(map(add, value[1], rhs[1])))
+                else:
+                    value = self._poly(value) * self._poly(rhs)
             elif tok.kind == "/":
                 self.fail(
                     "division is only allowed inside rational literals like 1485/2",
@@ -165,13 +182,17 @@ class _ExprParser:
             else:
                 return value
 
-    def factor(self) -> Polynomial:
+    def factor(self):
+        """A monomial as a (coefficient, exponent tuple) pair, or a `Polynomial`."""
         if self.peek().kind == "-":
             self.advance()
-            return -self.factor()
+            value = self.factor()
+            if isinstance(value, tuple):
+                return (-value[0], value[1])
+            return -value
         return self.power()
 
-    def power(self) -> Polynomial:
+    def power(self):
         base = self.atom()
         if self.peek().kind == "^":
             caret = self.advance()
@@ -183,10 +204,13 @@ class _ExprParser:
                     non_polynomial=True,
                 )
             self.advance()
-            return base ** int(tok.text)
+            k = int(tok.text)
+            if isinstance(base, tuple):
+                return (base[0] ** k, tuple(e * k for e in base[1]))
+            return base**k
         return base
 
-    def atom(self) -> Polynomial:
+    def atom(self):
         tok = self.advance()
         if tok.kind == "int":
             value = Fraction(int(tok.text))
@@ -204,13 +228,15 @@ class _ExprParser:
                 if int(den.text) == 0:
                     self.fail("zero denominator in rational literal", den)
                 value /= int(den.text)
-            return Polynomial.constant(self.space, value)
+            return (value, self.zero)
         if tok.kind == "ident":
             try:
                 index = self.space.index(tok.text)
             except ValueError:
                 self.fail(f"undeclared variable {tok.text!r}", tok)
-            return Polynomial.variable(self.space, index)
+            mono = list(self.zero)
+            mono[index] = 1
+            return (Fraction(1), tuple(mono))
         if tok.kind == "(":
             value = self.expr()
             closing = self.advance()

@@ -42,6 +42,30 @@ def P(text: str, sp) -> Polynomial:
     return parse_polynomial(text, sp)
 
 
+def chained_substitute(p, images, target=None):
+    """`Polynomial.substitute` as a chain of the public operators.
+
+    Each term is ``constant(coeff) * images[i]**e * ...`` in variable order,
+    and the terms are summed with ``+`` in term order. `substitute` promises
+    this result, dict order included; it is the reference for that promise.
+    """
+    for img in images.values():
+        target = img.space if target is None else target
+    if target is None:
+        target = p.space
+    powers = {}
+    result = Polynomial.zero(target)
+    for mono, coeff in p.terms.items():
+        term = Polynomial.constant(target, coeff)
+        for i, e in enumerate(mono):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = images[i] ** e
+                term = term * powers[i, e]
+        result = result + term
+    return result
+
+
 def two_state():
     return parse_system(TWO_STATE)
 

@@ -268,6 +268,36 @@ def test_simulate_output_is_the_same_on_either_backend(
     assert compiled.count("\n") == 1 + 1 + 1001  # error line, header, samples
 
 
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # 20001 rows, far more than a pipe holds: a write of the CSV meets
+        # the closed pipe after the reader took one line.
+        (["simulate", "--x0", "1,1", "--t", "2", "--step", "1e-4"], 1),
+        # A few lines, still buffered when the reader has gone: the flush
+        # meets the closed pipe.
+        (["lift"], 0),
+    ],
+    ids=["simulate", "lift"],
+)
+def test_a_reader_that_closes_early_ends_the_command_quietly(files, argv, lines_read):
+    env = dict(os.environ, SLIN_COLOR="0")
+    env.pop("PYTHONUNBUFFERED", None)  # a pipe's stdout is block-buffered
+    src = str(Path(slin.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slin.cli", argv[0], files["two_state"], *argv[1:]],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline() == b"t,x,y\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""
+
+
 def test_simulate_zero_horizon_single_row(files, tmp_path):
     out = tmp_path / "traj.csv"
     assert (

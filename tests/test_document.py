@@ -11,10 +11,11 @@ from slin import (
     load_lift,
     save_lift,
     superlinearize,
+    verify_numeric,
     verify_symbolic,
 )
 
-from helpers import five_state, two_state
+from helpers import cascade, five_state, two_state
 import handlift
 
 
@@ -34,6 +35,18 @@ def test_document_roundtrip_five_state():
     assert lift_to_document(document_to_lift(doc)) == doc
     # the reconstructed object still certifies
     assert verify_symbolic(five_state(), document_to_lift(doc)).ok
+
+
+@pytest.mark.parametrize("system", [five_state(), cascade(5, 2)], ids=["fivestate", "cascade(5,2)"])
+def test_reloaded_lift_has_the_same_term_order_and_numeric_result(system):
+    sl = superlinearize(system)
+    again = document_to_lift(lift_to_document(sl))
+    for obs, back in zip(sl.observables, again.observables):
+        assert list(obs.expansion.terms.items()) == list(back.expansion.terms.items())
+    x0 = [0.7, -0.6, 0.5, -0.8, 0.9]
+    assert verify_numeric(system, sl, x0, 2.0, 1e-3) == verify_numeric(
+        system, again, x0, 2.0, 1e-3
+    )
 
 
 def test_document_roundtrip_hand_built_fixture():

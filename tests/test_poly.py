@@ -4,15 +4,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slin import NEG_INF, Polynomial, SpaceMismatchError, lie_derivative
 
-from helpers import P, space
+from helpers import P, chained_substitute, space
 
 XY = space("x1 x2")
 XYZ = space("x1 x2 x3")
+UV = space("u v")
 
 
 # --- addition ----------------------------------------------------------------
@@ -262,6 +263,42 @@ def test_substitute_respects_composition(p):
     assert once == p.substitute(composed, target=XY)
 
 
+# Substitution images over UV: constants included, so images carry constant
+# terms; few and small coefficients, so products and sums often cancel.
+MONOS_UV = [m for m in product(range(3), repeat=2) if sum(m) <= 2]
+small_coeffs = st.sampled_from([Fraction(k, d) for k in (-2, -1, 1, 3) for d in (1, 2, 3)])
+
+
+def images_uv(coeffs=coeffs):
+    """One image per variable of XYZ, each a polynomial over UV."""
+    image = st.dictionaries(st.sampled_from(MONOS_UV), coeffs, max_size=4)
+    return st.lists(image.map(lambda d: Polynomial(UV, d)), min_size=3, max_size=3).map(
+        lambda imgs: dict(enumerate(imgs))
+    )
+
+
+@given(
+    st.dictionaries(st.sampled_from(MONOS_3), small_coeffs, max_size=6).map(
+        lambda d: Polynomial(XYZ, d)
+    ),
+    images_uv(small_coeffs),
+)
+@settings(max_examples=300, deadline=None)
+def test_substitute_keeps_the_chained_operator_result_and_order(p, images):
+    expected = list(chained_substitute(p, images).terms.items())
+    assert list(p.substitute(images).terms.items()) == expected
+
+
+def test_substitute_keeps_the_chained_operator_order_through_cancellation():
+    # u^2, u and v^2 each cancel midway; u^2 comes back after the constant,
+    # where `+` puts a key it has popped, not where it first appeared.
+    p = P("x1*x2 - x3^2 + x3 + x1^2", XYZ)
+    images = {0: P("u + v", UV), 1: P("u - v", UV), 2: P("u + 1/2", UV)}
+    result = list(p.substitute(images).terms.items())
+    assert result == list(chained_substitute(p, images).terms.items())
+    assert result == [((0, 0), Fraction(1, 4)), ((2, 0), 1), ((1, 1), 2)]
+
+
 exact_points = st.integers(min_value=-8000, max_value=8000).map(
     lambda k: Fraction(k, 8)
 )
@@ -390,6 +427,42 @@ def test_lie_derivative_agrees_with_sympy(p, field):
     xs = sympy.symbols(XYZ.names)
     expected = sum(sympy.diff(a, x) * _to_sympy(f) for x, f in zip(xs, field))
     assert lie_derivative(p, field).terms == _terms_of(expected, XYZ)
+
+
+def _sympy_substitute(p, images, target):
+    sympy = _sympy()
+    xs = sympy.symbols(p.space.names)
+    composed = _to_sympy(p).xreplace({xs[i]: _to_sympy(img) for i, img in images.items()})
+    return _terms_of(composed, target)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), images_uv())
+@example(  # cancellation to zero: x1^2 - x2 with x1 -> u + 1, x2 -> (u + 1)^2
+    Polynomial(XYZ, {(2, 0, 0): 1, (0, 1, 0): -1}),
+    {0: Polynomial(UV, {(1, 0): 1, (0, 0): 1}),
+     1: Polynomial(UV, {(2, 0): 1, (1, 0): 2, (0, 0): 1}),
+     2: Polynomial(UV, {})},
+)
+@example(  # exponent 4 of an image with a constant term, unlike denominators
+    Polynomial(XYZ, {(0, 0, 4): Fraction(1, 6), (1, 0, 0): Fraction(-3, 4)}),
+    {0: Polynomial(UV, {(0, 1): Fraction(2, 5)}),
+     1: Polynomial(UV, {}),
+     2: Polynomial(UV, {(1, 1): Fraction(1, 2), (0, 0): Fraction(-1, 3)})},
+)
+def test_substitute_agrees_with_sympy(p, images):
+    assert p.substitute(images).terms == _sympy_substitute(p, images, UV)
+
+
+@pytest.mark.parametrize("text", ["7/3", "0", "-5"])
+def test_substitute_rehomes_a_constant_with_no_images(text):
+    p = P(text, XYZ)
+    result = p.substitute({}, target=UV)
+    assert result.space == UV
+    assert result.terms == _sympy_substitute(p, {}, UV)
+    assert list(result.terms.items()) == list(
+        chained_substitute(p, {}, target=UV).terms.items()
+    )
 
 
 def test_immutability():

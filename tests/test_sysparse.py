@@ -1,14 +1,24 @@
 """System-file grammar: positive examples, rejections with positions, round-trips."""
 
 import random
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slin import NonPolynomialError, ParseError, parse_system, render_system
+from slin import (
+    NonPolynomialError,
+    ParseError,
+    Polynomial,
+    parse_polynomial,
+    parse_system,
+    render_system,
+)
 
-from helpers import FIVE_STATE, P, TWO_STATE, random_layered_system
+from helpers import FIVE_STATE, P, TWO_STATE, random_layered_system, space
 
 
 def test_parse_five_state_file():
@@ -168,3 +178,55 @@ def test_parser_total_over_garbage(text):
         parse_system("vars: x y\nx' = " + text + "\ny' = 0\n")
     except ParseError:
         pass
+
+
+# --- the parser against Polynomial's operators ---------------------------------
+
+XY = space("x y")
+
+
+def _signed_sum(parts):
+    (neg, (text, value)), rest = parts[0], parts[1:]
+    text, value = ("-" + text, -value) if neg else (text, value)
+    for neg, (t_text, t_value) in rest:
+        text += (" - " if neg else " + ") + t_text
+        value = value - t_value if neg else value + t_value
+    return text, value
+
+
+def _product(factors):
+    return "*".join(t for t, _ in factors), reduce(mul, (v for _, v in factors))
+
+
+def _power_and_sign(args):
+    (text, value), k, neg = args
+    if k is not None:
+        text, value = f"{text}^{k}", value**k
+    return ("-" + text, -value) if neg else (text, value)
+
+
+def expressions(depth=1):
+    """(text, value): `value` is `text` evaluated with Polynomial's operators,
+    left to right, as the grammar associates it."""
+    literal = st.fractions(min_value=0, max_value=4, max_denominator=3).map(
+        lambda c: (str(c), Polynomial.constant(XY, c))
+    )
+    variable = st.sampled_from(
+        [(name, Polynomial.variable(XY, i)) for i, name in enumerate(XY.names)]
+    )
+    atom = st.tuples(
+        st.one_of(literal, variable), st.none() | st.integers(0, 4), st.booleans()
+    )
+    if depth > 0:
+        group = expressions(depth - 1).map(lambda tv: (f"({tv[0]})", tv[1]))
+        atom = atom | st.tuples(group, st.none() | st.integers(0, 2), st.booleans())
+    term = st.lists(atom.map(_power_and_sign), min_size=1, max_size=3).map(_product)
+    return st.lists(st.tuples(st.booleans(), term), min_size=1, max_size=4).map(_signed_sum)
+
+
+@given(expressions())
+@settings(max_examples=150, deadline=None)
+def test_parse_equals_the_operators_dict_order_included(case):
+    text, value = case
+    assert list(parse_polynomial(text, XY).terms.items()) == list(value.terms.items())
+
