@@ -4,11 +4,8 @@ The package is pure Python plus one optional speedup, `slin._rk4`, written in
 plain C against the CPython API: the RK4 stepping kernel, the evaluation of
 a lift's start state, the projection error of the numeric check and the
 formatter of trajectory CSV rows. A missing compiler must never block
-installation (the import falls back to the pure twins and to `repr`). Set
-SLIN_NO_EXT=1 to skip the extension explicitly.
+installation (the import falls back to the pure twins and to `repr`).
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -32,16 +29,14 @@ class optional_build_ext(build_ext):
                   "falling back to the pure-Python kernel")
 
 
-ext_modules = []
-if os.environ.get("SLIN_NO_EXT") != "1":
-    ext_modules.append(
-        Extension(
-            "slin._rk4",
-            ["src/slin/_rk4.c"],
-            # Bit-for-bit agreement with the pure kernel forbids fused
-            # multiply-adds, which round once where Python rounds twice.
-            extra_compile_args=["-ffp-contract=off"],
-        )
+ext_modules = [
+    Extension(
+        "slin._rk4",
+        ["src/slin/_rk4.c"],
+        # Bit-for-bit agreement with the pure kernel forbids fused
+        # multiply-adds, which round once where Python rounds twice.
+        extra_compile_args=["-ffp-contract=off"],
     )
+]
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

@@ -33,23 +33,19 @@ from .errors import (
     SpaceMismatchError,
 )
 from .lift import (
-    AffineSystem,
     Observable,
     SuperLinearization,
     XumamaCertificate,
-    express_in_span,
-    prop1_lift,
     superlinearize,
     xumama_check,
 )
-from .poly import NEG_INF, Polynomial, VariableSpace, embed_into, lie_derivative
+from .poly import NEG_INF, Polynomial, VariableSpace, lie_derivative
 from .sysparse import PolySystem, parse_polynomial, parse_system, render_system
 from .verify import Trajectory, VerifyReport, simulate, verify_numeric, verify_symbolic
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSystem",
     "ChainCapError",
     "ConditionFailedError",
     "ConditionReport",
@@ -78,15 +74,12 @@ __all__ = [
     "build_wdg",
     "check_condition",
     "document_to_lift",
-    "embed_into",
     "enumerate_cycle_products",
-    "express_in_span",
     "lie_derivative",
     "lift_to_document",
     "load_lift",
     "parse_polynomial",
     "parse_system",
-    "prop1_lift",
     "render_system",
     "save_lift",
     "scc_decomposition",

@@ -167,10 +167,6 @@ class SkeletonGraph:
     depth: tuple  # component index -> longest path length from a source
     layers: tuple  # layers[m] = sorted tuple of components at depth m
 
-    @property
-    def max_depth(self) -> int:
-        return len(self.layers) - 1
-
 
 def build_skeleton(g: Wdg, d: SccDecomposition) -> SkeletonGraph:
     """Condense SCCs to single nodes and layer them by longest source distance."""

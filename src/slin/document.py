@@ -1,9 +1,10 @@
 """JSON serialization of lifts.
 
 Rationals travel as strings ("1485/2") so no value ever passes through a
-double; observables carry both their stage-level definition and their
-x-expansion as canonical polynomial strings. The document round-trips
-exactly: parse(render(doc)) == doc.
+double, and a document with any other type there is a SchemaError.
+Observables carry both their stage-level definition and their x-expansion
+as canonical polynomial strings. The document round-trips exactly:
+parse(render(doc)) == doc.
 """
 
 from __future__ import annotations
@@ -45,23 +46,38 @@ def document_to_lift(doc: dict) -> SuperLinearization:
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise SchemaError(f"expected a {SCHEMA!r} document")
     try:
-        var_names = [str(v) for v in doc["vars"]]
-        lifted_names = [str(v) for v in doc["lifted_vars"]]
-        m = int(doc["m"])
+        var_names = doc["vars"]
+        lifted_names = doc["lifted_vars"]
+        m = doc["m"]
         rows = doc["A"]
         offsets = doc["D"]
         observables = doc["observables"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed lift document: {exc}") from exc
+    except KeyError as exc:
+        raise SchemaError(f"malformed lift document: missing {exc}") from exc
+    if not all(
+        isinstance(names, list) and all(isinstance(v, str) for v in names)
+        for names in (var_names, lifted_names)
+    ):
+        raise SchemaError("vars and lifted_vars must be lists of names")
+    if type(m) is not int or m < 0:
+        raise SchemaError("m must be a nonnegative integer")
 
     n = len(var_names)
     dim = n + m
     if len(lifted_names) != dim or lifted_names[:n] != var_names:
         raise SchemaError("lifted_vars must be the original vars plus m observables")
+    if not isinstance(observables, list):
+        raise SchemaError("observables must be a list")
     if len(observables) != m:
         raise SchemaError(f"expected {m} observables, found {len(observables)}")
-    if len(rows) != dim or any(len(row) != dim for row in rows) or len(offsets) != dim:
+    if not (
+        _is_list(rows, dim)
+        and all(_is_list(row, dim) for row in rows)
+        and _is_list(offsets, dim)
+    ):
         raise SchemaError(f"A must be {dim}x{dim} and D of length {dim}")
+    if not all(isinstance(entry, str) for row in rows + [offsets] for entry in row):
+        raise SchemaError('every entry of A and D must be a rational string like "1/2"')
 
     try:
         A = tuple(tuple(Fraction(entry) for entry in row) for row in rows)
@@ -90,16 +106,7 @@ def document_to_lift(doc: dict) -> SuperLinearization:
                 f"observable #{k + 1} is named {name!r} but coordinate "
                 f"{n + k + 1} is {lifted_names[n + k]!r}"
             )
-        parsed.append(
-            Observable(
-                index=k + 1,
-                name=name,
-                definition=definition,
-                expansion=expansion,
-                stage=0,
-                seed=0,
-            )
-        )
+        parsed.append(Observable(name, definition, expansion))
 
     return SuperLinearization(
         n=n,
@@ -109,6 +116,10 @@ def document_to_lift(doc: dict) -> SuperLinearization:
         observables=tuple(parsed),
         var_names=tuple(lifted_names),
     )
+
+
+def _is_list(value, length: int) -> bool:
+    return isinstance(value, list) and len(value) == length
 
 
 def save_lift(sl: SuperLinearization, path) -> None:

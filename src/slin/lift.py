@@ -20,6 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import numeric
 from .depgraph import build_skeleton, build_wdg, check_condition, scc_decomposition
 from .errors import (
     ChainCapError,
@@ -28,7 +29,6 @@ from .errors import (
     InternalInvariantError,
     SpaceMismatchError,
 )
-from .numeric import CompiledField, compile_affine, compile_map
 from .poly import Polynomial, VariableSpace, grlex_key, lie_derivative
 from .sysparse import PolySystem
 
@@ -75,12 +75,9 @@ def _affine_field(space: VariableSpace, A: tuple, D: tuple) -> List[Polynomial]:
 class Observable:
     """One adjoined coordinate: its stage-level definition and x-expansion."""
 
-    index: int  # 1-based position among observables
     name: str
     definition: Polynomial  # over the creating stage's lifted coordinates
     expansion: Polynomial  # over the original x variables
-    stage: int  # depth layer whose processing created it
-    seed: int  # ordinal of the originating seed within that stage
 
 
 @dataclass(frozen=True)
@@ -144,16 +141,16 @@ class SuperLinearization:
         return _affine_field(self.lifted_space, self.A, self.D)
 
     @cached_property
-    def compiled_field(self) -> CompiledField:
-        """``compile_affine(A, D)``, built on first numeric use and kept."""
-        return compile_affine(self.A, self.D)
+    def compiled_field(self) -> numeric.CompiledField:
+        """``compile_field(field())``, built on first numeric use and kept."""
+        return numeric.compile_field(self.field())
 
     @cached_property
-    def compiled_expansions(self) -> CompiledField:
+    def compiled_expansions(self) -> numeric.CompiledField:
         """``compile_map`` of the observables' expansions, built on first
         numeric use and kept; it evaluates p(x0) as `Polynomial.evaluate`
         does, bit for bit."""
-        return compile_map([obs.expansion for obs in self.observables])
+        return numeric.compile_map([obs.expansion for obs in self.observables])
 
 
 @dataclass(frozen=True)
@@ -249,44 +246,6 @@ def _field_vec(components: Sequence[Polynomial]) -> Dict:
     return out
 
 
-def express_in_span(
-    target: Polynomial, basis: Sequence[Polynomial]
-) -> Optional[List[Fraction]]:
-    """Exact coefficients c with target = sum c_k basis_k, or None.
-
-    Linearly dependent basis entries are tolerated; they simply receive
-    coefficient zero. Absence of a representation is a value, not an error.
-    """
-    solver = SpanSolver()
-    for k, b in enumerate(basis):
-        if b.space != target.space:
-            raise SpaceMismatchError("span basis lives in a different space")
-        solver.add(_poly_vec(b), k)
-    combo = solver.express(_poly_vec(target))
-    if combo is None:
-        return None
-    coeffs = [combo.get(k, Fraction(0)) for k in range(len(basis))]
-    if __debug__:
-        acc = Polynomial.zero(target.space)
-        for c, b in zip(coeffs, basis):
-            acc = acc + b * c
-        assert acc == target, "span solver produced an inexact combination"
-    return coeffs
-
-
-def express_field_in_span(
-    target: Sequence[Polynomial], basis: Sequence[Sequence[Polynomial]]
-) -> Optional[List[Fraction]]:
-    """Componentwise variant: each basis entry is a whole vector field."""
-    solver = SpanSolver()
-    for k, b in enumerate(basis):
-        solver.add(_field_vec(b), k)
-    combo = solver.express(_field_vec(target))
-    if combo is None:
-        return None
-    return [combo.get(k, Fraction(0)) for k in range(len(basis))]
-
-
 # --- one layer of the construction -------------------------------------------
 
 _CONST = ("const",)
@@ -342,7 +301,7 @@ def prop1_lift(
     expansion_map = dict(enumerate(coord_expansions))
     x_target = coord_expansions[0].space if base else None
 
-    def new_observable(q: Polynomial, seed_ordinal: int) -> int:
+    def new_observable(q: Polynomial) -> int:
         t = len(observables)
         name = f"{obs_prefix}{obs_start + t}"
         expansion = q.substitute(expansion_map, target=x_target)
@@ -350,16 +309,7 @@ def prop1_lift(
         # document reads back, so both sum the terms alike when evaluated.
         order = sorted(expansion.terms, key=grlex_key, reverse=True)
         expansion = Polynomial(expansion.space, {m: expansion.terms[m] for m in order})
-        observables.append(
-            Observable(
-                index=obs_start + t,
-                name=name,
-                definition=q,
-                expansion=expansion,
-                stage=stage,
-                seed=seed_ordinal,
-            )
-        )
+        observables.append(Observable(name=name, definition=q, expansion=expansion))
         solver.add(_poly_vec(q), ("obs", t))
         return t
 
@@ -373,7 +323,7 @@ def prop1_lift(
         if combo is not None:
             seed_expr.append(combo)
         else:
-            t = new_observable(q, seed_ordinal)
+            t = new_observable(q)
             created += 1
             seed_expr.append({("obs", t): Fraction(1)})
             while True:
@@ -388,7 +338,7 @@ def prop1_lift(
                         f"its dimension bound C({base}+{d},{d}) = {cap}"
                     )
                 prev = t
-                t = new_observable(q, seed_ordinal)
+                t = new_observable(q)
                 created += 1
                 closing_expr[prev] = {("obs", t): Fraction(1)}
         chains.append(ChainInfo(stage, seed_ordinal, d, base, created, cap))

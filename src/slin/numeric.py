@@ -1,13 +1,10 @@
 """Double-precision integration kernels for polynomial vector fields.
 
 A vector field is flattened once into CSR-style arrays (`compile_field`) and
-then stepped with classic fixed-step RK4. An affine field ``z' = A z + D``,
-such as a lift's, is flattened straight from its matrix and offset
-(`compile_affine`) into the same arrays `compile_field` makes of its row
-polynomials, without building those polynomials. A system and a lift each
-compile their field once (`PolySystem.compiled_field`,
-`SuperLinearization.compiled_field`) and `verify.verify_numeric` integrates
-them from there.
+then stepped with classic fixed-step RK4 (`integrate`). A system and a lift
+each compile their field once (`PolySystem.compiled_field`,
+`SuperLinearization.compiled_field`, the latter from the row polynomials
+``A z + D``) and `verify.verify_numeric` integrates them from there.
 
 The same arrays also hold a polynomial map that is not square
 (`compile_map`), such as a lift's expansions, m polynomials over n
@@ -107,35 +104,6 @@ def _flatten(polys, term_order) -> CompiledField:
     return CompiledField(len(polys), comp_ptr, coeff, term_ptr, fvar, fexp)
 
 
-def compile_affine(A: Sequence[Sequence], D: Sequence) -> CompiledField:
-    """The field ``z' = A z + D`` in CSR form, entries exact rationals or ints.
-
-    Equals `compile_field` of the row polynomials: in graded-lex descending
-    order a row's linear terms come first, by ascending column, and its
-    constant term last; zero entries have no term.
-    """
-    dim = len(A)
-    if len(D) != dim or any(len(row) != dim for row in A):
-        raise ValueError("A must be square with one offset per row")
-    comp_ptr = array("i", [0])
-    coeff = array("d")
-    term_ptr = array("i", [0])
-    fvar = array("i")
-    fexp = array("i")
-    for row, d in zip(A, D):
-        for j, a in enumerate(row):
-            if a:
-                coeff.append(float(a))
-                fvar.append(j)
-                fexp.append(1)
-                term_ptr.append(len(fvar))
-        if d:
-            coeff.append(float(d))
-            term_ptr.append(len(fvar))
-        comp_ptr.append(len(coeff))
-    return CompiledField(dim, comp_ptr, coeff, term_ptr, fvar, fexp)
-
-
 def _eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, y, res):
     """Write the len(res) components of a compiled map at point `y` into `res`."""
     for c in range(len(res)):
@@ -228,16 +196,13 @@ RK4_KERNEL, FORMAT_ROWS, EVAL_INTO, PROJECTION_ERROR, BACKEND = _select_backend(
 
 
 def integrate(
-    field: Sequence[Polynomial], y0: Sequence[float], step: float, n_steps: int
-) -> Tuple[array, int]:
-    """Run RK4 with the selected backend; see `rk4_kernel_python` for the contract."""
-    cf = compile_field(field)
-    return integrate_compiled(cf, y0, step, n_steps, RK4_KERNEL)
-
-
-def integrate_compiled(
     cf: CompiledField, y0: Sequence[float], step: float, n_steps: int, kernel=None
 ) -> Tuple[array, int]:
+    """RK4 on a compiled field with `kernel`, by default the selected backend's.
+
+    Returns the flat states, `cf.dim` doubles per sample, and the number of
+    completed steps; see `rk4_kernel_python` for the contract.
+    """
     if len(y0) != cf.dim:
         raise ValueError(f"state has {len(y0)} entries, field has {cf.dim}")
     kernel = kernel or RK4_KERNEL

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Sequence
 
 from . import numeric
 from .errors import NonPolynomialError, ParseError
@@ -337,7 +336,3 @@ def render_system(sys: PolySystem) -> str:
 def load_system(path) -> PolySystem:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_system(fh.read())
-
-
-def system_field(sys: PolySystem) -> Sequence[Polynomial]:
-    return sys.rhs

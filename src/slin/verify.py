@@ -10,13 +10,12 @@ The numeric check is advisory: it integrates both systems with the same
 fixed-step RK4 grid (identical settings, so integration error is the only
 residual) and reports the worst projection error over the samples. Nothing
 symbolic is rebuilt per call: the system and the lift each keep their
-compiled field (the lift's straight from ``A`` and ``D``, by
-`numeric.compile_affine`) and the lift its compiled expansions, from which
-the start state ``(x0, p(x0))`` is one evaluation. That evaluation and the
-projection error are taken by the C extension when it is built and by their
-pure twins in `numeric` without it, with the same result bit for bit. So a
-call costs time in proportion to its samples, not to the size of the lift's
-symbolic objects.
+compiled field (`numeric.compile_field` of its right-hand side) and the
+lift its compiled expansions, from which the start state ``(x0, p(x0))`` is
+one evaluation. That evaluation and the projection error are taken by the C
+extension when it is built and by their pure twins in `numeric` without it,
+with the same result bit for bit. So a call costs time in proportion to its
+samples, not to the size of the lift's symbolic objects.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import numeric
 from .errors import DimensionMismatchError, DivergenceError
-from .numeric import CompiledField, integrate, integrate_compiled
+from .numeric import CompiledField, integrate
 from .poly import Polynomial, lie_derivative
 from .sysparse import PolySystem
 
@@ -60,14 +59,6 @@ class VerifyReport:
     def __bool__(self) -> bool:
         return self.ok
 
-    def describe(self) -> str:
-        if self.ok:
-            return "symbolic verification: PASS"
-        return (
-            f"symbolic verification: FAIL at row {self.failed_row} "
-            f"({self.failed_name}): residual {self.residual.render()}"
-        )
-
 
 def verify_symbolic(sys: PolySystem, sl) -> VerifyReport:
     """Check L_f(q_i) == sum_j A_ij q_j + D_i for every lifted coordinate.
@@ -97,22 +88,16 @@ def verify_symbolic(sys: PolySystem, sl) -> VerifyReport:
 
 
 def _integrate_checked(
-    field: Union[Sequence[Polynomial], CompiledField],
-    x0: Sequence[float],
-    t_end: float,
-    step: float,
+    cf: CompiledField, x0: Sequence[float], t_end: float, step: float
 ) -> tuple:
     """RK4 states, flat with one double per component per sample, and the step count.
 
-    `field` is a sequence of Polynomials or a `CompiledField`. Raises
-    ValueError on a step that is not positive and finite, a horizon that is
-    negative or not finite, a step count too large for a double, an initial
-    state that is not finite, or samples that would not fit in memory, and
-    DivergenceError (carrying the last finite sample time) when the state
-    leaves the finite range.
+    Raises ValueError on a step that is not positive and finite, a horizon
+    that is negative or not finite, a step count too large for a double, an
+    initial state that is not finite, or samples that would not fit in
+    memory, and DivergenceError (carrying the last finite sample time) when
+    the state leaves the finite range.
     """
-    compiled = isinstance(field, CompiledField)
-    dim = field.dim if compiled else len(field)
     if not (math.isfinite(step) and step > 0):
         raise ValueError("step must be positive and finite")
     if not math.isfinite(t_end):
@@ -125,13 +110,12 @@ def _integrate_checked(
     if not math.isfinite(steps):
         raise ValueError(f"t_end / step is {steps}, not a finite step count")
     n_steps = int(round(steps))
-    if (n_steps + 1) * dim > 200_000_000:
+    if (n_steps + 1) * cf.dim > 200_000_000:
         raise ValueError(
-            f"{n_steps} steps of a {dim}-dimensional system would not fit "
+            f"{n_steps} steps of a {cf.dim}-dimensional system would not fit "
             "in memory; increase the step or shorten the horizon"
         )
-    run = integrate_compiled if compiled else integrate
-    states, completed = run(field, x0, step, n_steps)
+    states, completed = integrate(cf, x0, step, n_steps)
     if completed < n_steps:
         raise DivergenceError(completed * step)
     return states, n_steps
@@ -150,7 +134,7 @@ def simulate(
 
 def _simulate(field: Sequence[Polynomial], x0, t_end, step) -> tuple:
     """`simulate`'s trajectory and the flat states it groups into samples."""
-    states, n_steps = _integrate_checked(field, x0, t_end, step)
+    states, n_steps = _integrate_checked(numeric.compile_field(field), x0, t_end, step)
     dim = len(field)
     times = tuple(k * step for k in range(n_steps + 1))
     # Component i of every sample is a strided slice of the flat states.
@@ -166,9 +150,9 @@ def verify_numeric(
     Integrates dx/dt = f(x) from x0 and dz/dt = A z + D from (x0, p(x0)) and
     returns max over samples of the infinity norm of the first n coordinates
     of z minus x. The fields are ``sys.compiled_field`` and
-    ``sl.compiled_field``, the latter compiled from ``sl.A`` and ``sl.D``
-    directly; it equals `compile_field(sl.field())`. A lift over another
-    dimension raises DimensionMismatchError before anything is integrated.
+    ``sl.compiled_field``, each compiled on first use and kept. A lift over
+    another dimension raises DimensionMismatchError before anything is
+    integrated.
     """
     _check_dimension(sl, sys.dim)
     xs, _ = _integrate_checked(sys.compiled_field, x0, t_end, step)

@@ -1,7 +1,6 @@
 """Shared fixtures and the terminal summary of the acceptance criteria."""
 
 import importlib.util
-import os
 import re
 import shutil
 import subprocess
@@ -26,11 +25,10 @@ def compiled_ext(tmp_path_factory):
     if shutil.which(cc) is None:
         pytest.skip(f"no C compiler ({cc}) on PATH")
     tmp = tmp_path_factory.mktemp("rk4build")
-    env = {k: v for k, v in os.environ.items() if k != "SLIN_NO_EXT"}
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
-        cwd=ROOT, env=env, capture_output=True, text=True,
+        cwd=ROOT, capture_output=True, text=True,
     )
     built = list((tmp / "lib" / "slin").glob("_rk4.*"))
     assert proc.returncode == 0 and len(built) == 1, proc.stdout + proc.stderr

@@ -70,7 +70,7 @@ def observables():
         for j in range(1, k):
             images[LIFTED.index(f"p{j}")] = expansions[j]
         expansions[k] = defs[k].substitute(images, target=X_SPACE)
-        out.append(Observable(k, f"p{k}", defs[k], expansions[k], 0, 0))
+        out.append(Observable(f"p{k}", defs[k], expansions[k]))
     return tuple(out)
 
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
+
 from slin import Polynomial, VariableSpace, Wdg, parse_polynomial, parse_system
 
 TWO_STATE = """\
@@ -30,6 +32,25 @@ BLOWUP = """\
 vars: x
 x' = x^2
 """
+
+
+# Lift-document corruptions that must be a SchemaError: fields of the wrong
+# JSON type, and entries of A and D that are not strings (rationals travel as
+# strings only, so none rounds through a double).
+WRONG_TYPES = {
+    "vars_string": lambda doc: doc.update(vars="".join(doc["vars"])),
+    "m_float": lambda doc: doc.update(m=doc["m"] + 0.5),
+    "m_string": lambda doc: doc.update(m=str(doc["m"])),
+    "A_number": lambda doc: doc.update(A=3),
+    "D_number": lambda doc: doc.update(D=3),
+    "observables_number": lambda doc: doc.update(observables=1),
+    "A_row_number": lambda doc: doc["A"].__setitem__(0, 7),
+    "A_row_string": lambda doc: doc["A"].__setitem__(0, "1" * len(doc["A"])),
+    "A_entry_list": lambda doc: doc["A"][0].__setitem__(0, ["-1"]),
+    "D_entry_list": lambda doc: doc["D"].__setitem__(0, ["0"]),
+    "A_entry_float": lambda doc: doc["A"][0].__setitem__(0, 0.5),
+    "D_entry_int": lambda doc: doc["D"].__setitem__(0, 0),
+}
 
 
 def space(names: str) -> VariableSpace:
@@ -64,6 +85,28 @@ def chained_substitute(p, images, target=None):
                 term = term * powers[i, e]
         result = result + term
     return result
+
+
+def to_sympy(p):
+    """`p` as a sympy expression, built from its terms alone."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(p.space.names)
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(x**e for x, e in zip(xs, mono)))
+            for mono, c in p.terms.items()
+        )
+    )
+
+
+def sympy_terms(expr, sp):
+    """Nonzero exponent tuple -> Fraction of sympy's expansion of `expr`."""
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly(sympy.expand(expr), *sympy.symbols(sp.names))
+    return {
+        mono: Fraction(int(c.p), int(c.q)) for mono, c in poly.as_dict().items() if c != 0
+    }
 
 
 def two_state():

@@ -15,7 +15,7 @@ from slin.cli import main
 from slin.document import lift_to_document, load_lift
 from slin.verify import write_trajectory_csv
 
-from helpers import BLOWUP, FIVE_STATE, OSCILLATOR, TWO_STATE, cascade_text
+from helpers import BLOWUP, FIVE_STATE, OSCILLATOR, TWO_STATE, WRONG_TYPES, cascade_text
 import handlift
 
 
@@ -163,6 +163,18 @@ def test_verify_schema_mismatch(files, capsys, tmp_path):
     path = tmp_path / "wrong.json"
     path.write_text(json.dumps({"schema": "other/1"}))
     assert main(["verify", files["five_state"], str(path)]) == 1
+
+
+@pytest.mark.parametrize("corrupt", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_verify_wrongly_typed_document_exits_1(files, capsys, tmp_path, corrupt):
+    doc = lift_to_document(handlift.correct_lift())
+    corrupt(doc)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", files["five_state"], str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # --- simulate ----------------------------------------------------------------

@@ -110,7 +110,6 @@ def test_skeleton_of_strongly_connected_graph():
     assert s.q == 1
     assert s.edges == ()
     assert s.layers == ((0,),)
-    assert s.max_depth == 0
 
 
 # --- walk weights -------------------------------------------------------------

@@ -15,7 +15,7 @@ from slin import (
     verify_symbolic,
 )
 
-from helpers import cascade, five_state, two_state
+from helpers import WRONG_TYPES, cascade, five_state, two_state
 import handlift
 
 
@@ -96,6 +96,14 @@ def test_rejects_shape_mismatch():
     doc = _valid_doc()
     doc["A"] = doc["A"][:-1]
     with pytest.raises(SchemaError, match="A must be"):
+        document_to_lift(doc)
+
+
+@pytest.mark.parametrize("corrupt", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_rejects_wrongly_typed_fields(corrupt):
+    doc = _valid_doc()
+    corrupt(doc)
+    with pytest.raises(SchemaError):
         document_to_lift(doc)
 
 

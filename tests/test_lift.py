@@ -4,26 +4,36 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slin import (
-    AffineSystem,
     ConditionFailedError,
     Polynomial,
     SpaceMismatchError,
-    express_in_span,
     lie_derivative,
     parse_system,
-    prop1_lift,
     superlinearize,
     verify_symbolic,
     xumama_check,
 )
-from slin.lift import SpanSolver, _poly_vec, express_field_in_span
+from slin.lift import AffineSystem, SpanSolver, _field_vec, _poly_vec, prop1_lift
 
 from helpers import P, five_state, random_layered_system, space, two_state
 
 
-# --- express_in_span -----------------------------------------------------------
+# --- SpanSolver ------------------------------------------------------------------
+
+
+def _express(target, basis, vec=_poly_vec):
+    """The solver's coefficients of `target` over `basis`, by position, or None."""
+    solver = SpanSolver()
+    for k, b in enumerate(basis):
+        solver.add(vec(b), k)
+    combo = solver.express(vec(target))
+    if combo is None:
+        return None
+    return [combo.get(k, 0) for k in range(len(basis))]
 
 
 def test_express_in_span_chain_closure():
@@ -37,25 +47,25 @@ def test_express_in_span_chain_closure():
         P("-2*x1*x2", sp),
         P("2*x1^2 - 2*x2^2", sp),
     ]
-    coeffs = express_in_span(P("8*x1*x2", sp), basis)
+    coeffs = _express(P("8*x1*x2", sp), basis)
     assert coeffs == [0, 0, 0, 0, 0, -4, 0]
 
 
 def test_express_zero_target():
     sp = space("x")
-    coeffs = express_in_span(Polynomial.zero(sp), [P("x", sp), P("1", sp)])
+    coeffs = _express(Polynomial.zero(sp), [P("x", sp), P("1", sp)])
     assert coeffs == [0, 0]
 
 
 def test_express_absence_is_none():
     sp = space("x")
-    assert express_in_span(P("x^2", sp), [P("1", sp), P("x", sp)]) is None
+    assert _express(P("x^2", sp), [P("1", sp), P("x", sp)]) is None
 
 
 def test_express_tolerates_dependent_basis():
     sp = space("x y")
     basis = [P("x", sp), P("2*x", sp), P("y", sp)]
-    coeffs = express_in_span(P("x + y", sp), basis)
+    coeffs = _express(P("x + y", sp), basis)
     total = Polynomial.zero(sp)
     for c, b in zip(coeffs, basis):
         total = total + b * c
@@ -69,7 +79,7 @@ def test_express_field_variant_solves_componentwise():
     assert lf[0] == P("x - 3*y^2", s.vars)
     assert lf[1] == P("y", s.vars)
     target = [P("-x + 7*y^2", s.vars), P("-y", s.vars)]
-    assert express_field_in_span(target, [f, lf]) == [-2, -3]
+    assert _express(target, [f, lf], _field_vec) == [-2, -3]
 
 
 def test_span_solver_rejects_outside_vector():
@@ -78,6 +88,70 @@ def test_span_solver_rejects_outside_vector():
     solver.add(_poly_vec(P("x", sp)), 0)
     assert solver.express(_poly_vec(P("x^2", sp))) is None
     assert solver.express(_poly_vec(P("3*x", sp))) == {0: Fraction(3)}
+
+
+# The oracle below draws sparse vectors over x, y (a basis entry is one
+# polynomial, or a two-component field for `_field_vec`), some basis entries
+# and targets as combinations of earlier entries, and checks the solver
+# against sympy's rank of the coefficient matrix.
+
+SPAN_SPACE = space("x y")
+SPAN_MONOS = [(a, b) for a in range(3) for b in range(3 - a)]
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+sparse_polys = st.dictionaries(
+    st.sampled_from(SPAN_MONOS), small_fractions, max_size=3
+).map(lambda terms: Polynomial(SPAN_SPACE, terms))
+
+
+def _combine(coeffs, entries, width):
+    """Componentwise sum of c * entry over `width`-tuples of polynomials."""
+    total = [Polynomial.zero(SPAN_SPACE)] * width
+    for c, entry in zip(coeffs, entries):
+        total = [t + p * c for t, p in zip(total, entry)]
+    return tuple(total)
+
+
+@st.composite
+def span_problems(draw, width):
+    def combination(entries):
+        k = len(entries)
+        coeffs = draw(st.lists(small_fractions, min_size=k, max_size=k))
+        return _combine(coeffs, entries, width)
+
+    def fresh():
+        return tuple(draw(sparse_polys) for _ in range(width))
+
+    basis = []
+    for _ in range(draw(st.integers(0, 5))):
+        dependent = basis and draw(st.booleans())
+        basis.append(combination(basis) if dependent else fresh())
+    target = combination(basis) if basis and draw(st.booleans()) else fresh()
+    return basis, target
+
+
+@pytest.mark.parametrize(
+    "width, vec",
+    [(1, lambda entry: _poly_vec(entry[0])), (2, _field_vec)],
+    ids=["poly_vec", "field_vec"],
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_span_solver_agrees_with_a_sympy_rank_test(width, vec, data):
+    sympy = pytest.importorskip("sympy")
+    basis, target = data.draw(span_problems(width))
+    coeffs = _express(target, basis, vec)
+
+    vectors = [vec(entry) for entry in basis + [target]]
+    keys = sorted(set().union(*vectors))
+
+    def rank(rows):
+        entries = [sympy.Rational(str(v.get(k, 0))) for v in rows for k in keys]
+        return sympy.Matrix(len(rows), len(keys), entries).rank()
+
+    inside = rank(vectors) == rank(vectors[:-1])
+    assert (coeffs is not None) == inside
+    if coeffs is not None:
+        assert _combine(coeffs, basis, width) == target
 
 
 # --- prop1_lift ------------------------------------------------------------------
@@ -166,14 +240,15 @@ def test_superlinearize_five_state_regression():
         (2, 0, 4, 84),
         (2, 1, 9, 84),
     ]
-    # chain degrees never increase along an affine-driven chain
-    for stage, seed in {(c.stage, c.seed) for c in sl.chains}:
-        degs = [
-            o.definition.degree()
-            for o in sl.observables
-            if (o.stage, o.seed) == (stage, seed)
-        ]
+    # chain degrees never increase along an affine-driven chain; each chain
+    # created its observables one after another, in chain order
+    start = 0
+    for c in sl.chains:
+        chain = sl.observables[start : start + c.created]
+        degs = [o.definition.degree() for o in chain]
         assert all(a >= b for a, b in zip(degs, degs[1:]))
+        start += c.created
+    assert start == sl.m
 
 
 def test_superlinearize_projection_rows_reproduce_field():

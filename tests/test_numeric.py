@@ -18,12 +18,10 @@ from slin.document import document_to_lift, lift_to_document
 from slin.numeric import (
     BACKEND,
     FORMAT_ROWS,
-    compile_affine,
     compile_field,
     compile_map,
     evaluate_compiled,
     integrate,
-    integrate_compiled,
     projection_error_python,
     rk4_kernel_python,
 )
@@ -61,7 +59,7 @@ def test_compiled_field_evaluation_matches_polynomials():
 def test_zero_step_integration_returns_initial_state():
     s = five_state()
     cf = compile_field(s.rhs)
-    states, completed = integrate_compiled(cf, [1, 2, 3, 4, 5], 1.0, 0)
+    states, completed = integrate(cf, [1, 2, 3, 4, 5], 1.0, 0)
     assert completed == 0
     assert list(states) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
@@ -89,8 +87,8 @@ def test_backends_agree_bit_for_bit(compiled_kernel):
         (sl.field(), [0.1, 0.2, 0.3, 0.4, 0.5] + [o.expansion.evaluate([0.1, 0.2, 0.3, 0.4, 0.5]) for o in sl.observables]),
     ]:
         cf = compile_field(field)
-        py_states, py_done = integrate_compiled(cf, y0, 1e-2, 200, rk4_kernel_python)
-        c_states, c_done = integrate_compiled(cf, y0, 1e-2, 200, compiled_kernel)
+        py_states, py_done = integrate(cf, y0, 1e-2, 200, rk4_kernel_python)
+        c_states, c_done = integrate(cf, y0, 1e-2, 200, compiled_kernel)
         assert py_done == c_done == 200
         assert py_states == c_states  # exact equality, not approximate
 
@@ -98,8 +96,8 @@ def test_backends_agree_bit_for_bit(compiled_kernel):
 def test_backends_agree_on_divergence_step(compiled_kernel):
     s = parse_system("vars: x\nx' = x^2\n")
     cf = compile_field(s.rhs)
-    py_states, py_done = integrate_compiled(cf, [1.0], 1e-3, 2000, rk4_kernel_python)
-    c_states, c_done = integrate_compiled(cf, [1.0], 1e-3, 2000, compiled_kernel)
+    py_states, py_done = integrate(cf, [1.0], 1e-3, 2000, rk4_kernel_python)
+    c_states, c_done = integrate(cf, [1.0], 1e-3, 2000, compiled_kernel)
     assert py_done == c_done < 2000
     assert py_states == c_states
 
@@ -128,7 +126,7 @@ def test_integrate_rejects_wrong_state_size():
     s = five_state()
     cf = compile_field(s.rhs)
     with pytest.raises(ValueError):
-        integrate_compiled(cf, [1.0, 2.0], 1e-3, 10)
+        integrate(cf, [1.0, 2.0], 1e-3, 10)
 
 
 def test_compile_field_requires_square_field():
@@ -146,6 +144,27 @@ def _csr_bytes(cf):
     return cf.dim, [(a.typecode, a.tobytes()) for a in arrays]
 
 
+def _affine_csr_bytes(A, D):
+    """`_csr_bytes` of ``z' = A z + D`` written out by hand: each row's
+    nonzero entries by ascending column, then its offset if nonzero."""
+    comp_ptr, coeff, term_ptr, fvar = [0], [], [0], []
+    for row, d in zip(A, D):
+        for j, a in enumerate(row):
+            if a:
+                coeff.append(float(a))
+                fvar.append(j)
+                term_ptr.append(len(fvar))
+        if d:
+            coeff.append(float(d))
+            term_ptr.append(len(fvar))
+        comp_ptr.append(len(coeff))
+    arrays = [
+        array("i", comp_ptr), array("d", coeff), array("i", term_ptr),
+        array("i", fvar), array("i", [1] * len(fvar)),
+    ]
+    return len(A), [(a.typecode, a.tobytes()) for a in arrays]
+
+
 @pytest.mark.parametrize(
     "system",
     [
@@ -156,9 +175,9 @@ def _csr_bytes(cf):
     ],
     ids=["twostate", "fivestate", "cascade(5,2)", "offset"],
 )
-def test_compile_affine_equals_compile_field_of_the_lift(system):
+def test_lift_field_compiles_to_its_matrix_and_offset(system):
     sl = superlinearize(system())
-    assert _csr_bytes(compile_affine(sl.A, sl.D)) == _csr_bytes(compile_field(sl.field()))
+    assert _csr_bytes(sl.compiled_field) == _affine_csr_bytes(sl.A, sl.D)
 
 
 def test_lift_compiles_its_field_on_first_use_only():
@@ -169,7 +188,7 @@ def test_lift_compiles_its_field_on_first_use_only():
     assert "compiled_field" not in vars(reloaded)
     cf = sl.compiled_field
     assert sl.compiled_field is cf
-    assert _csr_bytes(cf) == _csr_bytes(compile_affine(sl.A, sl.D))
+    assert _csr_bytes(cf) == _csr_bytes(compile_field(sl.field()))
     assert _csr_bytes(reloaded.compiled_field) == _csr_bytes(cf)
     # the same holds for the expansions and for the original system's field
     assert "compiled_expansions" not in vars(sl)
@@ -186,13 +205,6 @@ def test_offset_lift_has_a_nonzero_offset():
     assert superlinearize(parse_system(OFFSET)).D == (0, 2, 2)
 
 
-def test_compile_affine_requires_a_square_matrix():
-    with pytest.raises(ValueError):
-        compile_affine(((1, 0), (0, 1)), (0,))
-    with pytest.raises(ValueError):
-        compile_affine(((1, 0), (0,)), (0, 0))
-
-
 @pytest.mark.parametrize(
     "system, x0",
     [
@@ -205,7 +217,7 @@ def test_rk4_end_state_agrees_with_dop853(system, x0):
     """Independent oracle: scipy's DOP853 shares no code with the RK4 kernels."""
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     s = system()
-    states, completed = integrate(s.rhs, x0, 1e-3, 1000)
+    states, completed = integrate(s.compiled_field, x0, 1e-3, 1000)
     assert completed == 1000
     sol = solve_ivp(
         lambda _t, y: [p.evaluate(y) for p in s.rhs],
@@ -295,9 +307,9 @@ def test_compiled_projection_error_equals_its_twin_on_lifts(compiled_ext, system
     sl = superlinearize(s)
     x0 = [0.9 - 0.3 * i for i in range(s.dim)]
     for step in (0.05, 1e-3):
-        xs, _ = integrate_compiled(s.compiled_field, x0, step, round(2 / step))
+        xs, _ = integrate(s.compiled_field, x0, step, round(2 / step))
         z0 = array("d", x0) + evaluate_compiled(sl.compiled_expansions, x0)
-        zs, _ = integrate_compiled(sl.compiled_field, z0, step, round(2 / step))
+        zs, _ = integrate(sl.compiled_field, z0, step, round(2 / step))
         c, pure = _projection_errors(compiled_ext, zs, sl.dim, xs, s.dim)
         assert c == pure
         assert 0 < float.fromhex(c) < 1e-3

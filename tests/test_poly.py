@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from slin import NEG_INF, Polynomial, SpaceMismatchError, lie_derivative
 
-from helpers import P, chained_substitute, space
+from helpers import P, chained_substitute, space, sympy_terms, to_sympy
 
 XY = space("x1 x2")
 XYZ = space("x1 x2 x3")
@@ -374,66 +374,45 @@ def _sympy():
     return pytest.importorskip("sympy")
 
 
-def _to_sympy(p):
-    sympy = _sympy()
-    xs = sympy.symbols(p.space.names)
-    return sympy.Add(
-        *(
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*(x**e for x, e in zip(xs, mono)))
-            for mono, c in p.terms.items()
-        )
-    )
-
-
-def _terms_of(expr, sp):
-    """Nonzero exponent tuple -> Fraction of sympy's expansion of `expr`."""
-    sympy = _sympy()
-    poly = sympy.Poly(sympy.expand(expr), *sympy.symbols(sp.names))
-    return {
-        mono: Fraction(int(c.p), int(c.q)) for mono, c in poly.as_dict().items() if c != 0
-    }
-
-
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys())
 def test_add_and_mul_agree_with_sympy(p, q):
-    a, b = _to_sympy(p), _to_sympy(q)
-    assert (p + q).terms == _terms_of(a + b, XYZ)
-    assert (p - q).terms == _terms_of(a - b, XYZ)
-    assert (p * q).terms == _terms_of(a * b, XYZ)
+    a, b = to_sympy(p), to_sympy(q)
+    assert (p + q).terms == sympy_terms(a + b, XYZ)
+    assert (p - q).terms == sympy_terms(a - b, XYZ)
+    assert (p * q).terms == sympy_terms(a * b, XYZ)
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys(), st.integers(min_value=0, max_value=4))
 def test_pow_agrees_with_sympy(p, k):
-    assert (p**k).terms == _terms_of(_to_sympy(p) ** k, XYZ)
+    assert (p**k).terms == sympy_terms(to_sympy(p) ** k, XYZ)
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys())
 def test_differentiate_agrees_with_sympy(p):
     sympy = _sympy()
-    a = _to_sympy(p)
+    a = to_sympy(p)
     for i, x in enumerate(sympy.symbols(XYZ.names)):
-        assert p.differentiate(i).terms == _terms_of(sympy.diff(a, x), XYZ)
+        assert p.differentiate(i).terms == sympy_terms(sympy.diff(a, x), XYZ)
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys(), st.lists(polys(), min_size=3, max_size=3))
 def test_lie_derivative_agrees_with_sympy(p, field):
     sympy = _sympy()
-    a = _to_sympy(p)
+    a = to_sympy(p)
     xs = sympy.symbols(XYZ.names)
-    expected = sum(sympy.diff(a, x) * _to_sympy(f) for x, f in zip(xs, field))
-    assert lie_derivative(p, field).terms == _terms_of(expected, XYZ)
+    expected = sum(sympy.diff(a, x) * to_sympy(f) for x, f in zip(xs, field))
+    assert lie_derivative(p, field).terms == sympy_terms(expected, XYZ)
 
 
 def _sympy_substitute(p, images, target):
     sympy = _sympy()
     xs = sympy.symbols(p.space.names)
-    composed = _to_sympy(p).xreplace({xs[i]: _to_sympy(img) for i, img in images.items()})
-    return _terms_of(composed, target)
+    composed = to_sympy(p).xreplace({xs[i]: to_sympy(img) for i, img in images.items()})
+    return sympy_terms(composed, target)
 
 
 @settings(max_examples=80, deadline=None)

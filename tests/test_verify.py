@@ -1,5 +1,6 @@
 """Symbolic certification and numeric trajectory comparison."""
 
+import dataclasses
 import io
 import math
 import random
@@ -22,16 +23,24 @@ from slin import (
 )
 from slin import numeric
 from slin.lift import Observable, SuperLinearization
-from slin.numeric import integrate
 from slin.verify import Trajectory, write_trajectory_csv
 
-from helpers import BLOWUP, P, five_state, space, two_state
+from helpers import (
+    BLOWUP,
+    P,
+    cascade,
+    five_state,
+    space,
+    sympy_terms,
+    to_sympy,
+    two_state,
+)
 
 
 def _two_state_lift(a33=Fraction(-2)):
     xy = space("x y")
     lifted = space("x y w")
-    obs = Observable(1, "w", P("y^2", lifted), P("y^2", xy), 1, 0)
+    obs = Observable("w", P("y^2", lifted), P("y^2", xy))
     A = ((-1, 0, 1), (0, -1, 0), (0, 0, a33))
     return SuperLinearization(
         n=2, m=1, A=A, D=(0, 0, 0), observables=(obs,), var_names=("x", "y", "w")
@@ -55,11 +64,42 @@ def test_verify_symbolic_dimension_mismatch():
         verify_symbolic(other, _two_state_lift())
 
 
-def test_verify_report_describe():
-    ok = verify_symbolic(two_state(), _two_state_lift())
-    assert "PASS" in ok.describe()
-    bad = verify_symbolic(two_state(), _two_state_lift(a33=Fraction(-1)))
-    assert "row 3" in bad.describe() and "-y^2" in bad.describe()
+def _sympy_residuals(system, sl):
+    """Row i's ``L_f(q_i) - sum_j A_ij q_j - D_i``, expanded by sympy, for each i."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(system.vars.names)
+    f = [to_sympy(p) for p in system.rhs]
+    q = [to_sympy(p) for p in sl.x_expansions()]
+    for row, d, q_i in zip(sl.A, sl.D, q):
+        lie = sum(sympy.diff(q_i, x) * f_x for x, f_x in zip(xs, f))
+        affine = sum(sympy.Rational(str(a)) * q_j for a, q_j in zip(row, q))
+        yield sympy.expand(lie - affine - sympy.Rational(str(d)))
+
+
+@pytest.mark.parametrize("perturb", ["A", "D", "A and D"])
+@pytest.mark.parametrize(
+    "system", [five_state, lambda: cascade(4, 2)], ids=["fivestate", "cascade(4,2)"]
+)
+def test_verify_symbolic_residual_equals_sympy_on_a_broken_lift(system, perturb):
+    s = system()
+    sl = superlinearize(s)
+    rng = random.Random(f"{sl.dim} {perturb}")
+    A = [list(row) for row in sl.A]
+    D = list(sl.D)
+    if "A" in perturb:
+        A[rng.randrange(sl.dim)][rng.randrange(sl.dim)] += Fraction(3, 2)
+    if "D" in perturb:
+        D[rng.randrange(sl.dim)] -= Fraction(1, 3)
+    broken = dataclasses.replace(sl, A=A, D=D)
+    report = verify_symbolic(s, broken)
+
+    row, residual = next(
+        (i, r) for i, r in enumerate(_sympy_residuals(s, broken)) if r != 0
+    )
+    assert not report.ok
+    assert report.failed_row == row + 1
+    assert report.failed_name == sl.var_names[row]
+    assert report.residual.terms == sympy_terms(residual, s.vars)
 
 
 # --- simulate ------------------------------------------------------------------
@@ -120,7 +160,7 @@ def test_simulate_states_equal_per_sample_slices():
     s = five_state()
     x0 = [0.1, 0.2, 0.3, 0.4, 0.5]
     traj = simulate(s.rhs, x0, 2.0, 1e-3)
-    flat, completed = integrate(s.rhs, x0, 1e-3, 2000)
+    flat, completed = numeric.integrate(s.compiled_field, x0, 1e-3, 2000)
     assert completed == 2000
     assert traj.states == tuple(
         tuple(flat[k * s.dim : (k + 1) * s.dim]) for k in range(completed + 1)
