@@ -108,6 +108,7 @@ rk4_kernel(PyObject *self, PyObject *args)
     Py_ssize_t n_steps, completed, held = 0;
     PyObject *result = NULL;
 
+    (void)self;
     if (!PyArg_ParseTuple(args, "OOOOOOdnO:rk4_kernel", &objs[0], &objs[1],
                           &objs[2], &objs[3], &objs[4], &objs[5], &step,
                           &n_steps, &objs[6]))
@@ -198,6 +199,7 @@ py_eval_into(PyObject *self, PyObject *args)
     Py_ssize_t held = 0;
     PyObject *result = NULL;
 
+    (void)self;
     if (!PyArg_ParseTuple(args, "OOOOOOO:eval_into", &objs[0], &objs[1],
                           &objs[2], &objs[3], &objs[4], &objs[5], &objs[6]))
         return NULL;
@@ -239,6 +241,7 @@ projection_error(PyObject *self, PyObject *args)
     Py_ssize_t dim_z, n;
     Py_buffer zv, xv;
 
+    (void)self;
     if (!PyArg_ParseTuple(args, "OnOn:projection_error", &zobj, &dim_z, &xobj,
                           &n))
         return NULL;
@@ -524,6 +527,7 @@ format_rows(PyObject *self, PyObject *args)
     Py_ssize_t start, stop;
     text_buf tb = {NULL, 0, 0};
 
+    (void)self;
     if (!PyArg_ParseTuple(args, "OOnn:format_rows", &times, &states, &start,
                           &stop))
         return NULL;

@@ -225,6 +225,13 @@ def main(argv=None) -> int:
         # Point stdout at devnull so the flush at exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
+    except OSError as exc:  # after BrokenPipeError, one of its subclasses
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except InternalInvariantError:
         raise  # a bug, not a negative answer: crash loudly
     except SlinError as exc:

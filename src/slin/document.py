@@ -14,14 +14,13 @@ from fractions import Fraction
 
 from .errors import ParseError, SchemaError
 from .lift import Observable, SuperLinearization
-from .poly import VariableSpace, embed_into
+from .poly import VariableSpace
 from .sysparse import parse_polynomial
 
 SCHEMA = "slin-lift/1"
 
 
 def lift_to_document(sl: SuperLinearization) -> dict:
-    lifted = sl.lifted_space
     return {
         "schema": SCHEMA,
         "vars": list(sl.var_names[: sl.n]),
@@ -32,9 +31,9 @@ def lift_to_document(sl: SuperLinearization) -> dict:
         "observables": [
             {
                 "name": obs.name,
-                # definitions are re-homed into the full lifted space so the
-                # rendered factor order is reproducible from the document alone
-                "definition": embed_into(obs.definition, lifted).render(),
+                # a definition lives over a prefix of the lifted coordinates,
+                # so it renders as it would over all of them
+                "definition": obs.definition.render(),
                 "expansion": obs.expansion.render(),
             }
             for obs in sl.observables

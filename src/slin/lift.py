@@ -7,6 +7,11 @@ already lifted. Forcing terms are absorbed by growing chains of Lie
 derivatives along the current affine field, with exact span detection over
 the graded-lex coefficient vectors deciding when a chain closes on itself.
 
+The lift is built in its final coordinates from the first layer on: x in its
+original order, then the observables in the order they are created. Each
+stage works over x and the observables of earlier stages, a prefix of those
+coordinates, and every affine row is kept sparse as ``{column: coeff}``.
+
 Everything here is exact rational arithmetic; a lift is returned only after
 its defining identity has been re-checked symbolically.
 """
@@ -33,42 +38,16 @@ from .poly import Polynomial, VariableSpace, grlex_key, lie_derivative
 from .sysparse import PolySystem
 
 
-@dataclass(frozen=True)
-class AffineSystem:
-    """dz/dt = A z + D over a named coordinate space."""
-
-    space: VariableSpace
-    A: tuple
-    D: tuple
-
-    def __post_init__(self):
-        n = len(self.space)
-        A = tuple(tuple(Fraction(entry) for entry in row) for row in self.A)
-        D = tuple(Fraction(entry) for entry in self.D)
-        if len(A) != n or any(len(row) != n for row in A) or len(D) != n:
-            raise ValueError("matrix/offset dimensions do not match the space")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "D", D)
-
-    @property
-    def dim(self) -> int:
-        return len(self.space)
-
-    def field(self) -> List[Polynomial]:
-        """Row polynomials A z + D, one per coordinate."""
-        return _affine_field(self.space, self.A, self.D)
+_CONST = -1  # the column under which an affine row keeps its constant term
 
 
-def _affine_field(space: VariableSpace, A: tuple, D: tuple) -> List[Polynomial]:
-    """Row polynomials A z + D over `space`, each built from one term dict."""
+def _affine_field(space: VariableSpace, rows: Sequence[Dict]) -> List[Polynomial]:
+    """Row polynomials over `space`, one per sparse affine row ``{column:
+    coeff}`` with its constant under `_CONST`, each built from one term dict."""
     n = len(space)
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    rows = []
-    for i in range(n):
-        terms = {(0,) * n: D[i]}
-        terms.update((units[j], a) for j, a in enumerate(A[i]) if a)
-        rows.append(Polynomial(space, terms))
-    return rows
+    units = {_CONST: (0,) * n}
+    units.update((j, tuple(int(k == j) for k in range(n))) for j in range(n))
+    return [Polynomial(space, {units[j]: a for j, a in row.items()}) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -76,7 +55,7 @@ class Observable:
     """One adjoined coordinate: its stage-level definition and x-expansion."""
 
     name: str
-    definition: Polynomial  # over the creating stage's lifted coordinates
+    definition: Polynomial  # over x and the observables of earlier stages
     expansion: Polynomial  # over the original x variables
 
 
@@ -138,7 +117,11 @@ class SuperLinearization:
 
     def field(self) -> List[Polynomial]:
         """The lifted right-hand side A z + D as polynomials, for simulation."""
-        return _affine_field(self.lifted_space, self.A, self.D)
+        rows = [
+            {_CONST: d, **{j: a for j, a in enumerate(row) if a}}
+            for row, d in zip(self.A, self.D)
+        ]
+        return _affine_field(self.lifted_space, rows)
 
     @cached_property
     def compiled_field(self) -> numeric.CompiledField:
@@ -248,140 +231,103 @@ def _field_vec(components: Sequence[Polynomial]) -> Dict:
 
 # --- one layer of the construction -------------------------------------------
 
-_CONST = ("const",)
-
 
 def prop1_lift(
-    affine: AffineSystem,
-    layer_names: Sequence[str],
-    linear_part: Sequence[Sequence[Fraction]],
+    space: VariableSpace,
+    rows: Dict[int, Dict],
+    expansions: List[Polynomial],
+    layer: Sequence[int],
+    linear_part: Sequence[Dict],
     seeds: Sequence[Polynomial],
     *,
-    coord_expansions: Sequence[Polynomial] = None,
     obs_prefix: str = "p",
     obs_start: int = 1,
     stage: int = 1,
-):
-    """Adjoin one affinely-forced block to an affine system.
+) -> Tuple[List[Observable], List[ChainInfo]]:
+    """Adjoin one affinely-forced layer to the lift built so far.
 
-    The incoming system governs z'; the new block obeys
-    dx''/dt = linear_part x'' + seed(z') componentwise. Every seed grows a
-    chain of Lie derivatives along the affine field. A chain element that
-    falls in the span of {1} u {z' coordinates} u {observables so far} closes
-    its chain with that exact dependency; otherwise it becomes the next
-    observable. Chains share one span across all seeds of the call, so
-    repeated nonlinearities are never adjoined twice.
+    Coordinates are numbered by their final column: x in its original order,
+    then the observables in the order they are created. `space` names x and
+    the observables of earlier stages, a prefix of the final coordinates;
+    `rows` maps every coordinate already lifted to its affine row ``{column:
+    coeff}``, the constant under `_CONST`; `expansions[c]` is column c as a
+    polynomial in x.
 
-    Returns (new AffineSystem over (z', x'', p), observables, chain infos).
+    The layer's coordinate c = layer[r] obeys x_c' = linear_part[r] x + seeds[r],
+    with `linear_part[r]` a row ``{column: coeff}`` over the layer's columns
+    and each seed a polynomial over `space` in the lifted coordinates only. Every
+    seed grows a chain of Lie derivatives along the lifted field. A chain
+    element that falls in the span of {1} u {lifted coordinates} u
+    {observables so far} closes its chain with that exact dependency;
+    otherwise it becomes the next observable, the next column. Chains share
+    one span across all seeds of the call, so repeated nonlinearities are
+    never adjoined twice.
+
+    Adds the rows of the layer and of the new observables to `rows`, and the
+    new observables' expansions to `expansions`, in place. Returns
+    (observables, chain infos).
     """
-    k = len(layer_names)
-    if len(seeds) != k or len(linear_part) != k:
+    if len(seeds) != len(layer) or len(linear_part) != len(layer):
         raise ValueError("need one seed and one matrix row per layer coordinate")
     for s in seeds:
-        if s.space != affine.space:
+        if s.space != space:
             raise SpaceMismatchError(
-                "seeds must be polynomials over the affine system's coordinates"
+                "seeds must be polynomials over the lifted coordinates"
             )
-    if coord_expansions is None:
-        coord_expansions = [
-            Polynomial.variable(affine.space, i) for i in range(affine.dim)
-        ]
 
-    base = affine.dim
-    field = affine.field()
+    base = len(rows)
+    field = _affine_field(space, [rows.get(c, {}) for c in range(len(space))])
     solver = SpanSolver()
-    solver.add(_poly_vec(Polynomial.constant(affine.space, 1)), _CONST)
-    for i in range(base):
-        solver.add(_poly_vec(Polynomial.variable(affine.space, i)), ("coord", i))
+    solver.add(_poly_vec(Polynomial.constant(space, 1)), _CONST)
+    for c in rows:
+        solver.add(_poly_vec(Polynomial.variable(space, c)), c)
 
+    images = dict(enumerate(expansions))
     observables: List[Observable] = []
     chains: List[ChainInfo] = []
-    seed_expr: List[Dict] = []  # span combo for each seed's inhomogeneous part
-    closing_expr: Dict[int, Dict] = {}  # local obs ordinal -> combo closing its chain
-    expansion_map = dict(enumerate(coord_expansions))
-    x_target = coord_expansions[0].space if base else None
 
     def new_observable(q: Polynomial) -> int:
-        t = len(observables)
-        name = f"{obs_prefix}{obs_start + t}"
-        expansion = q.substitute(expansion_map, target=x_target)
+        column = len(expansions)
+        name = f"{obs_prefix}{obs_start + len(observables)}"
+        expansion = q.substitute(images)
         # Graded-lex descending, the order `render` writes and a reloaded
         # document reads back, so both sum the terms alike when evaluated.
         order = sorted(expansion.terms, key=grlex_key, reverse=True)
         expansion = Polynomial(expansion.space, {m: expansion.terms[m] for m in order})
+        expansions.append(expansion)
         observables.append(Observable(name=name, definition=q, expansion=expansion))
-        solver.add(_poly_vec(q), ("obs", t))
-        return t
+        solver.add(_poly_vec(q), column)
+        return column
 
-    for seed_ordinal, seed in enumerate(seeds):
+    for seed_ordinal, (c, linear, seed) in enumerate(zip(layer, linear_part, seeds)):
         degree = seed.degree()
         d = int(degree) if seed.terms else 0
         cap = math.comb(base + d, d)
         created = 0
         q = seed
         combo = solver.express(_poly_vec(q))
-        if combo is not None:
-            seed_expr.append(combo)
-        else:
-            t = new_observable(q)
+        if combo is None:
+            column = new_observable(q)
             created += 1
-            seed_expr.append({("obs", t): Fraction(1)})
+            combo = {column: Fraction(1)}
             while True:
                 q = lie_derivative(q, field)
-                combo = solver.express(_poly_vec(q))
-                if combo is not None:
-                    closing_expr[t] = combo
+                closing = solver.express(_poly_vec(q))
+                if closing is not None:
+                    rows[column] = closing
                     break
                 if created >= cap:
                     raise ChainCapError(
                         f"chain for seed {seed_ordinal} of stage {stage} exceeded "
                         f"its dimension bound C({base}+{d},{d}) = {cap}"
                     )
-                prev = t
-                t = new_observable(q)
+                prev = column
+                column = new_observable(q)
                 created += 1
-                closing_expr[prev] = {("obs", t): Fraction(1)}
+                rows[prev] = {column: Fraction(1)}
+        rows[c] = {**linear, **combo}
         chains.append(ChainInfo(stage, seed_ordinal, d, base, created, cap))
-
-    s = len(observables)
-    dim = base + k + s
-    names = tuple(affine.space.names) + tuple(layer_names) + tuple(
-        o.name for o in observables
-    )
-    space = VariableSpace(names)
-
-    def column(tag) -> int:
-        if tag == _CONST:
-            return -1
-        kind, i = tag
-        return i if kind == "coord" else base + k + i
-
-    A = [[Fraction(0)] * dim for _ in range(dim)]
-    D = [Fraction(0)] * dim
-    for i in range(base):
-        D[i] = affine.D[i]
-        for j in range(base):
-            A[i][j] = affine.A[i][j]
-    for r, row in enumerate(linear_part):
-        if len(row) != k:
-            raise ValueError("linear part must be square over the layer")
-        i = base + r
-        for c, entry in enumerate(row):
-            A[i][base + c] = Fraction(entry)
-        for tag, coeff in seed_expr[r].items():
-            if tag == _CONST:
-                D[i] += coeff
-            else:
-                A[i][column(tag)] += coeff
-    for t in range(s):
-        i = base + k + t
-        for tag, coeff in closing_expr[t].items():
-            if tag == _CONST:
-                D[i] += coeff
-            else:
-                A[i][column(tag)] += coeff
-
-    return AffineSystem(space, A, D), observables, chains
+    return observables, chains
 
 
 # --- full pipeline ----------------------------------------------------------
@@ -399,22 +345,21 @@ def _observable_prefix(names: Sequence[str]) -> str:
 
 def _affine_rows(
     sys: PolySystem, layer: Sequence[int], free: frozenset
-) -> Tuple[List[List[Fraction]], List[Dict]]:
-    """Split each layer equation into (constant matrix row, leftover terms).
+) -> Tuple[List[Dict], List[Dict]]:
+    """Split each layer equation into (linear row ``{column: coeff}`` over the
+    layer, leftover terms).
 
     Leftover monomials may only involve `free` variables; any monomial of
     degree >= 1 in the layer that is not a bare c*x_i breaks the layered
     structure the condition check guarantees.
     """
-    pos = {v: c for c, v in enumerate(layer)}
     layer_set = set(layer)
     rows = []
     leftovers = []
     for j in layer:
-        f = sys.rhs[j]
-        row = [Fraction(0)] * len(layer)
+        row: Dict = {}
         rest: Dict = {}
-        for mono, coeff in f.terms.items():
+        for mono, coeff in sys.rhs[j].terms.items():
             layer_deg = sum(mono[i] for i in layer_set)
             if layer_deg == 0:
                 outside = [
@@ -429,8 +374,7 @@ def _affine_rows(
                     )
                 rest[mono] = coeff
             elif layer_deg == 1 and sum(mono) == 1:
-                i = mono.index(1)
-                row[pos[i]] += coeff
+                row[mono.index(1)] = coeff
             else:
                 raise DecompositionViolatedError(
                     f"equation for {sys.vars.names[j]} is not affine in its layer"
@@ -460,78 +404,51 @@ def superlinearize(sys: PolySystem) -> SuperLinearization:
     ]
     prefix = _observable_prefix(sys.vars.names)
 
-    # Depth-0 block: must already be affine in its own variables.
-    layer0 = var_layers[0]
-    rows0, leftovers0 = _affine_rows(sys, layer0, frozenset())
-    D0 = []
-    for j, rest in zip(layer0, leftovers0):
-        const = Fraction(0)
-        for mono, coeff in rest.items():
-            if any(mono):
-                raise DecompositionViolatedError(
-                    f"equation for {sys.vars.names[j]} has nonconstant terms "
-                    "outside its layer"
-                )
-            const += coeff
-        D0.append(const)
-    affine = AffineSystem(
-        VariableSpace(tuple(sys.vars.names[v] for v in layer0)), rows0, D0
-    )
-    coord_expansions = [Polynomial.variable(sys.vars, v) for v in layer0]
+    # The depth-0 block must already be affine in its own variables: with no
+    # free variables, `_affine_rows` leaves only a constant over.
+    rows: Dict[int, Dict] = {}
+    linear0, leftovers0 = _affine_rows(sys, var_layers[0], frozenset())
+    for v, linear, rest in zip(var_layers[0], linear0, leftovers0):
+        rows[v] = {**linear, **{_CONST: c for c in rest.values()}}
+    expansions = [Polynomial.variable(sys.vars, v) for v in range(sys.dim)]
 
     observables: List[Observable] = []
     chains: List[ChainInfo] = []
-    processed = list(layer0)
-
+    names = sys.vars.names
     for depth in range(1, len(var_layers)):
         layer = var_layers[depth]
-        rows, leftovers = _affine_rows(sys, layer, frozenset(processed))
-        zpos = {}
-        for v in processed:
-            zpos[v] = affine.space.index(sys.vars.names[v])
-        seeds = []
-        for rest in leftovers:
-            terms = {}
-            for mono, coeff in rest.items():
-                lifted = [0] * affine.dim
-                for i, e in enumerate(mono):
-                    if e:
-                        lifted[zpos[i]] = e
-                terms[tuple(lifted)] = coeff
-            seeds.append(Polynomial(affine.space, terms))
-
-        affine, new_obs, new_chains = prop1_lift(
-            affine,
-            [sys.vars.names[v] for v in layer],
+        # The x columns of `rows` are the variables already lifted; its
+        # observable columns lie past every x index.
+        linear, leftovers = _affine_rows(sys, layer, frozenset(rows))
+        space = VariableSpace(names)
+        pad = (0,) * len(observables)
+        seeds = [
+            Polynomial(space, {mono + pad: c for mono, c in rest.items()})
+            for rest in leftovers
+        ]
+        new_obs, new_chains = prop1_lift(
+            space,
             rows,
+            expansions,
+            layer,
+            linear,
             seeds,
-            coord_expansions=coord_expansions,
             obs_prefix=prefix,
             obs_start=len(observables) + 1,
             stage=depth,
         )
         observables.extend(new_obs)
         chains.extend(new_chains)
-        coord_expansions = (
-            coord_expansions
-            + [Polynomial.variable(sys.vars, v) for v in layer]
-            + [o.expansion for o in new_obs]
-        )
-        processed.extend(layer)
+        names += tuple(o.name for o in new_obs)
 
-    # Reorder stage coordinates to (x in original order, observables).
-    target_names = tuple(sys.vars.names) + tuple(o.name for o in observables)
-    src = [affine.space.index(nm) for nm in target_names]
-    n, m = sys.dim, len(observables)
-    A = [[affine.A[src[i]][src[j]] for j in range(n + m)] for i in range(n + m)]
-    D = [affine.D[src[i]] for i in range(n + m)]
+    dim = len(names)
     result = SuperLinearization(
-        n=n,
-        m=m,
-        A=tuple(tuple(r) for r in A),
-        D=tuple(D),
+        n=sys.dim,
+        m=len(observables),
+        A=tuple(tuple(rows[i].get(j, 0) for j in range(dim)) for i in range(dim)),
+        D=tuple(rows[i].get(_CONST, 0) for i in range(dim)),
         observables=tuple(observables),
-        var_names=target_names,
+        var_names=names,
         chains=tuple(chains),
     )
 

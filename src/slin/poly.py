@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import SpaceMismatchError
 
@@ -118,9 +118,6 @@ class Polynomial:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
         return next(iter(self.terms.values()), Fraction(0))
-
-    def coefficient(self, mono: Iterable) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -427,23 +424,3 @@ def lie_derivative(p: Polynomial, field: Sequence[Polynomial]) -> Polynomial:
         if dp.terms:
             result = result + dp * component
     return result
-
-
-def embed_into(p: Polynomial, space: VariableSpace) -> Polynomial:
-    """Re-home ``p`` into ``space``, matching variables by name."""
-    positions = []
-    for name in p.space.names:
-        try:
-            positions.append(space.index(name))
-        except ValueError:
-            raise SpaceMismatchError(
-                f"variable {name!r} does not exist in target space {space.names}"
-            ) from None
-    n = len(space)
-    out = {}
-    for mono, coeff in p.terms.items():
-        new = [0] * n
-        for pos, e in zip(positions, mono):
-            new[pos] = e
-        out[tuple(new)] = coeff
-    return Polynomial(space, out)

@@ -1,6 +1,7 @@
 """Shared fixtures and the terminal summary of the acceptance criteria."""
 
 import importlib.util
+import os
 import re
 import shutil
 import subprocess
@@ -20,15 +21,18 @@ def compiled_ext(tmp_path_factory):
     Building here, rather than importing an installed copy, means the RK4
     kernel and the CSV row formatter are tested even when no in-place build
     exists, and a stale build from other sources is never the one tested.
+    It compiles with every warning an error, set through the environment
+    so that an install (`setup.py` itself) never fails on a warning.
     """
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
         pytest.skip(f"no C compiler ({cc}) on PATH")
     tmp = tmp_path_factory.mktemp("rk4build")
+    cflags = f"{os.environ.get('CFLAGS', '')} -Wall -Wextra -Werror".strip()
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
-        cwd=ROOT, capture_output=True, text=True,
+        cwd=ROOT, capture_output=True, text=True, env=dict(os.environ, CFLAGS=cflags),
     )
     built = list((tmp / "lib" / "slin").glob("_rk4.*"))
     assert proc.returncode == 0 and len(built) == 1, proc.stdout + proc.stderr

@@ -60,6 +60,27 @@ def test_check_missing_file(capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{dir}"],
+        ["check", "{latin1}"],
+        ["check", "{two_state}", "--dot", "{dir}"],
+        ["lift", "{two_state}", "-o", "{dir}"],
+        ["verify", "{two_state}", "{dir}"],
+        ["verify", "{two_state}", "{latin1}"],
+    ],
+    ids=["check-dir", "check-latin1", "dot-to-dir", "lift-o-dir", "verify-dir", "verify-latin1"],
+)
+def test_io_failure_prints_one_error_line(files, capsys, argv):
+    latin1 = files["dir"] / "latin1.sys"
+    latin1.write_bytes("vars: x\nx' = -x # caf\xe9\n".encode("latin-1"))
+    paths = dict(files, latin1=str(latin1))
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check_parse_error_position(files, capsys, tmp_path):
     bad = tmp_path / "bad.sys"
     bad.write_text("vars: x\nx' = 1/x\n")

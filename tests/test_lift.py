@@ -17,7 +17,7 @@ from slin import (
     verify_symbolic,
     xumama_check,
 )
-from slin.lift import AffineSystem, SpanSolver, _field_vec, _poly_vec, prop1_lift
+from slin.lift import _CONST, SpanSolver, _field_vec, _poly_vec, prop1_lift
 
 from helpers import P, five_state, random_layered_system, space, two_state
 
@@ -157,57 +157,62 @@ def test_span_solver_agrees_with_a_sympy_rank_test(width, vec, data):
 # --- prop1_lift ------------------------------------------------------------------
 
 
+def _prop1(sp, rows, layer, linear_part, seeds):
+    """`prop1_lift` over identity expansions, with the rows it fills as dense A and D."""
+    expansions = [Polynomial.variable(sp, i) for i in range(len(sp))]
+    obs, chains = prop1_lift(sp, rows, expansions, layer, linear_part, seeds)
+    dim = len(rows)
+    A = tuple(tuple(rows[i].get(j, 0) for j in range(dim)) for i in range(dim))
+    D = tuple(rows[i].get(_CONST, 0) for i in range(dim))
+    assert expansions[len(sp):] == [o.expansion for o in obs]
+    return A, D, obs, chains
+
+
 def test_prop1_lift_decay_square():
-    y = space("y")
-    affine = AffineSystem(y, [[Fraction(-1)]], [Fraction(0)])
-    new, obs, chains = prop1_lift(affine, ["x"], [[Fraction(-1)]], [P("y^2", y)])
-    assert new.space.names == ("y", "x", "p1")
-    assert len(obs) == 1 and obs[0].definition == P("y^2", y)
+    sp = space("y x")
+    A, D, obs, chains = _prop1(sp, {0: {0: Fraction(-1)}}, [1], [{1: -1}], [P("y^2", sp)])
+    assert [o.name for o in obs] == ["p1"]
+    assert len(obs) == 1 and obs[0].definition == P("y^2", sp)
     # rows: dy = -y, dx = -x + p1, dp1 = -2 p1
-    assert new.A == ((-1, 0, 0), (0, -1, 1), (0, 0, -2))
-    assert new.D == (0, 0, 0)
+    assert A == ((-1, 0, 0), (0, -1, 1), (0, 0, -2))
+    assert D == (0, 0, 0)
     assert chains[0].created == 1
 
 
 def test_prop1_lift_oscillator_chain():
-    sp = space("x1 x2")
-    affine = AffineSystem(sp, [[0, 1], [-1, 0]], [0, 0])
-    new, obs, chains = prop1_lift(affine, ["x3"], [[0]], [P("x2^2", sp)])
+    sp = space("x1 x2 x3")
+    A, D, obs, chains = _prop1(sp, {0: {1: 1}, 1: {0: -1}}, [2], [{}], [P("x2^2", sp)])
     assert [o.definition for o in obs] == [
         P("x2^2", sp),
         P("-2*x1*x2", sp),
         P("2*x1^2 - 2*x2^2", sp),
     ]
-    names = new.space.names
-    assert names == ("x1", "x2", "x3", "p1", "p2", "p3")
+    assert [o.name for o in obs] == ["p1", "p2", "p3"]
     # closing row: dp3 = -4 p2
-    assert new.A[5] == (0, 0, 0, 0, -4, 0)
+    assert A[5] == (0, 0, 0, 0, -4, 0)
     # chain rows dp1 = p2, dp2 = p3
-    assert new.A[3] == (0, 0, 0, 0, 1, 0)
-    assert new.A[4] == (0, 0, 0, 0, 0, 1)
+    assert A[3] == (0, 0, 0, 0, 1, 0)
+    assert A[4] == (0, 0, 0, 0, 0, 1)
     # the layer row absorbs the seed as dx3 = p1
-    assert new.A[2] == (0, 0, 0, 1, 0, 0)
+    assert A[2] == (0, 0, 0, 1, 0, 0)
     assert chains[0].created == 3 and chains[0].cap == 6
 
 
 def test_prop1_lift_affine_seed_folds_into_row():
-    sp = space("z1 z2")
-    affine = AffineSystem(sp, [[1, 0], [0, 2]], [0, 1])
-    new, obs, chains = prop1_lift(
-        affine, ["w"], [[Fraction(5)]], [P("3*z1 + 1", sp)]
-    )
+    sp = space("z1 z2 w")
+    rows = {0: {0: 1}, 1: {1: 2, _CONST: 1}}
+    A, D, obs, chains = _prop1(sp, rows, [2], [{2: Fraction(5)}], [P("3*z1 + 1", sp)])
     assert obs == []
     assert chains[0].created == 0
-    assert new.A[2] == (3, 0, 5)
-    assert new.D == (0, 1, 1)
+    assert A[2] == (3, 0, 5)
+    assert D == (0, 1, 1)
 
 
 def test_prop1_lift_rejects_foreign_seed():
-    sp = space("z")
+    sp = space("z x")
     other = space("w")
-    affine = AffineSystem(sp, [[0]], [0])
     with pytest.raises(SpaceMismatchError):
-        prop1_lift(affine, ["x"], [[0]], [P("w", other)])
+        _prop1(sp, {0: {}}, [1], [{}], [P("w", other)])
 
 
 # --- superlinearize ---------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Lift corpus: every lift the construction builds, pinned by one SHA-256 each.
+"""Lift corpus: every lift the construction builds, pinned by SHA-256 digests.
 
 `tests/data/lift_corpus.json` maps a system's name to the digest of its lift
 (m, A, D and the rendered expansions) or, for a system that fails the
-condition, to the name of the exception `superlinearize` raises. A change to
-the construction that keeps every lift keeps every digest; one that changes
-a lift names the systems whose lifts moved.
+condition, to the name of the exception `superlinearize` raises.
+`tests/data/lift_documents.json` does the same for the whole lift document
+as `json.dumps(lift_to_document(lift))` writes it, so the observables'
+names and rendered definitions are pinned too. A change to the construction
+that keeps every lift keeps every digest; one that changes a lift names the
+systems whose lifts moved.
 
 The corpus covers the benchmark's ladder rungs (fivestate, cascade(4,2),
 cascade(5,2), cascade(4,3)), the 200 random layered systems of acceptance
@@ -12,22 +15,28 @@ criterion 5 and every file under `systems/`. Regenerate it only when a lift
 is meant to change:
 
     PYTHONPATH=src:tests python tests/test_lift_corpus.py > tests/data/lift_corpus.json
+    PYTHONPATH=src:tests python tests/test_lift_corpus.py documents > tests/data/lift_documents.json
 """
 
+import functools
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from slin import SlinError, superlinearize
+from slin.document import lift_to_document
 from slin.sysparse import load_system
 
 from helpers import cascade, five_state, random_layered_system
 
 ROOT = Path(__file__).resolve().parents[1]
-CORPUS = Path(__file__).resolve().parent / "data" / "lift_corpus.json"
+DATA = Path(__file__).resolve().parent / "data"
+CORPUS = DATA / "lift_corpus.json"
+DOCUMENTS = DATA / "lift_documents.json"
 
 RUNGS = {
     "fivestate": five_state,
@@ -40,28 +49,12 @@ RANDOM_COUNT = 200
 SYSTEM_FILES = sorted((ROOT / "systems").glob("*.sys"))
 
 
-def lift_digest(system) -> str:
-    """SHA-256 of the lift's (m, A, D, rendered expansions), or the exception name."""
-    try:
-        sl = superlinearize(system)
-    except SlinError as exc:
-        return type(exc).__name__
-    text = json.dumps(
-        [
-            sl.m,
-            [[str(a) for a in row] for row in sl.A],
-            [str(d) for d in sl.D],
-            [obs.expansion.render() for obs in sl.observables],
-        ]
-    )
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def random_systems():
     rng = random.Random(RANDOM_SEED)
     return {f"random/{k:03d}": random_layered_system(rng) for k in range(RANDOM_COUNT)}
 
 
+@functools.cache
 def corpus_systems():
     """Every system of the corpus by name, in the corpus file's order."""
     systems = {name: build() for name, build in RUNGS.items()}
@@ -70,39 +63,81 @@ def corpus_systems():
     return systems
 
 
+@functools.cache
+def lift_of(name):
+    """The named system's lift, or the name of the exception `superlinearize` raises."""
+    try:
+        return superlinearize(corpus_systems()[name])
+    except SlinError as exc:
+        return type(exc).__name__
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def lift_digest(name) -> str:
+    """SHA-256 of the lift's (m, A, D, rendered expansions), or the exception name."""
+    sl = lift_of(name)
+    if isinstance(sl, str):
+        return sl
+    return _sha256(
+        [
+            sl.m,
+            [[str(a) for a in row] for row in sl.A],
+            [str(d) for d in sl.D],
+            [obs.expansion.render() for obs in sl.observables],
+        ]
+    )
+
+
+def document_digest(name) -> str:
+    """SHA-256 of `json.dumps` of the lift's document, or the exception name."""
+    sl = lift_of(name)
+    return sl if isinstance(sl, str) else _sha256(lift_to_document(sl))
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return json.loads(CORPUS.read_text())
 
 
-def test_corpus_names_every_system(corpus):
-    assert list(corpus) == list(RUNGS) + [
-        f"random/{k:03d}" for k in range(RANDOM_COUNT)
-    ] + [f"systems/{p.name}" for p in SYSTEM_FILES]
+@pytest.fixture(scope="module")
+def documents():
+    return json.loads(DOCUMENTS.read_text())
+
+
+def test_corpus_names_every_system(corpus, documents):
+    names = list(RUNGS) + [f"random/{k:03d}" for k in range(RANDOM_COUNT)] + [
+        f"systems/{p.name}" for p in SYSTEM_FILES
+    ]
+    assert list(corpus) == names
+    assert list(documents) == names
 
 
 @pytest.mark.parametrize("name", list(RUNGS))
 def test_ladder_rung_lift_matches_the_corpus(name, corpus):
-    assert lift_digest(RUNGS[name]()) == corpus[name]
+    assert lift_digest(name) == corpus[name]
 
 
 def test_random_layered_lifts_match_the_corpus(corpus):
-    moved = [
-        name
-        for name, system in random_systems().items()
-        if lift_digest(system) != corpus[name]
-    ]
+    moved = [name for name in random_systems() if lift_digest(name) != corpus[name]]
     assert moved == []
 
 
 @pytest.mark.parametrize("path", SYSTEM_FILES, ids=lambda p: p.name)
 def test_system_file_lift_matches_the_corpus(path, corpus):
-    assert lift_digest(load_system(path)) == corpus[f"systems/{path.name}"]
+    name = f"systems/{path.name}"
+    assert lift_digest(name) == corpus[name]
+
+
+def test_lift_documents_match_the_corpus(documents):
+    moved = [
+        name for name in corpus_systems() if document_digest(name) != documents[name]
+    ]
+    assert moved == []
 
 
 if __name__ == "__main__":
-    print(
-        json.dumps(
-            {name: lift_digest(s) for name, s in corpus_systems().items()}, indent=1
-        )
-    )
+    digest = document_digest if sys.argv[1:] == ["documents"] else lift_digest
+    print(json.dumps({name: digest(name) for name in corpus_systems()}, indent=1))
