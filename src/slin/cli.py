@@ -29,7 +29,7 @@ from .errors import (
 )
 from .lift import superlinearize, xumama_check
 from .sysparse import load_system
-from .verify import _projection_error, _simulate, verify_symbolic, write_trajectory_csv
+from .verify import _check_fits, _projection_error, _simulate, verify_symbolic, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,12 +89,13 @@ def cmd_lift(args) -> int:
         for w in exc.report.witnesses:
             print(f"  {w.render()}")
         return EXIT_NEGATIVE
+    if args.output:  # before the summary, so a failed write prints no verdict
+        save_lift(sl, args.output)
     print(f"n = {sl.n}")
     print(f"m = {sl.m}")
     print(f"lifted dimension = {sl.dim}")
     print(f"symbolic verification: {_pass()}")
     if args.output:
-        save_lift(sl, args.output)
         print(f"lift written to {args.output}")
     return EXIT_OK
 
@@ -132,6 +133,7 @@ def cmd_simulate(args) -> int:
         traj, xs = _simulate(sys_.rhs, x0, args.t, args.step)
         if args.lift:
             sl = load_lift(args.lift)
+            _check_fits(sys_, sl)
             # The numeric check against the trajectory already integrated.
             error = _projection_error(sl, xs, sys_.dim, x0, args.t, args.step)
             print(f"max projection error on [0, {args.t:g}]: {error:.3e}")
@@ -211,10 +213,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: no such file", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SchemaError, DimensionMismatchError) as exc:
+    except (ParseError, SchemaError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:
@@ -228,9 +227,6 @@ def main(argv=None) -> int:
     except OSError as exc:  # after BrokenPipeError, one of its subclasses
         where = f"{exc.filename}: " if exc.filename else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnicodeDecodeError as exc:
-        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError:
         raise  # a bug, not a negative answer: crash loudly

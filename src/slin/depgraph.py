@@ -45,13 +45,11 @@ class Wdg:
 
 
 def build_wdg(sys: PolySystem) -> Wdg:
-    """Differentiate every right-hand side by every variable; keep nonzeros."""
+    """Differentiate each right-hand side along the variables occurring in it; all nonzero."""
     weights = {}
     for j, f_j in enumerate(sys.rhs):
-        for i in range(sys.dim):
-            w = f_j.differentiate(i)
-            if not w.is_zero():
-                weights[(i, j)] = w
+        for i in sorted({i for mono in f_j.terms for i, e in enumerate(mono) if e}):
+            weights[(i, j)] = f_j.differentiate(i)
     return Wdg(sys.dim, sys.vars, weights)
 
 

@@ -131,6 +131,8 @@ def load_lift(path) -> SuperLinearization:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     return document_to_lift(doc)

@@ -164,7 +164,6 @@ class SpanSolver:
 
     def __init__(self):
         self._rows: Dict = {}  # pivot key -> (vector, combo over original tags)
-        self.tags: List = []
 
     def _eliminate(self, vec: Dict) -> Tuple[Dict, Dict]:
         work = dict(vec)
@@ -194,7 +193,6 @@ class SpanSolver:
     def add(self, vec: Dict, tag) -> bool:
         """Add an original vector; returns True if it enlarged the span."""
         residual, combo = self._eliminate(vec)
-        self.tags.append(tag)
         if not residual:
             return False
         pivot = max(residual)
@@ -334,7 +332,6 @@ def prop1_lift(
 
 
 def _observable_prefix(names: Sequence[str]) -> str:
-    prefix = "p"
     candidates = ["p", "q", "w", "obs"]
     while True:
         for prefix in candidates:

@@ -113,12 +113,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return self.degree() <= 0
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (0 for the zero polynomial)."""
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()), Fraction(0))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -191,15 +185,13 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = Polynomial.constant(self.space, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        if exponent == 0:
+            return Polynomial.constant(self.space, 1)
+        terms, den = _int_terms(self)
+        den **= exponent
+        return Polynomial(
+            self.space, {m: Fraction(c, den) for m, c in _int_pow(terms, exponent).items()}
+        )
 
     # --- calculus -----------------------------------------------------------
 
@@ -400,7 +392,7 @@ def _int_mul(a: dict, b: dict) -> dict:
 
 
 def _int_pow(a: dict, e: int) -> dict:
-    """``a**e`` for ``e >= 1``, squaring as `Polynomial.__pow__` does."""
+    """``a**e`` for ``e >= 1`` by square and multiply, low exponent bits first."""
     result = None  # the constant 1, whose product with x is x itself
     while e:
         if e & 1:

@@ -247,9 +247,9 @@ class _ExprParser:
         self.fail(f"unexpected {tok.text!r}", tok)
 
 
-def parse_polynomial(text: str, space: VariableSpace, lineno: int = 1) -> Polynomial:
+def parse_polynomial(text: str, space: VariableSpace) -> Polynomial:
     """Parse a single expression over a known variable space."""
-    tokens = _tokenize_line(text, lineno)
+    tokens = _tokenize_line(text, 1)
     return _ExprParser(tokens, space).parse()
 
 
@@ -334,5 +334,12 @@ def render_system(sys: PolySystem) -> str:
 
 
 def load_system(path) -> PolySystem:
+    """Parse a system file; a file that is not UTF-8 is a ParseError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(fh.read())
+        try:
+            return parse_system(fh.read())
+        except UnicodeDecodeError as exc:  # one read decodes the whole file
+            raw, bad = exc.object, exc.start
+            line_start = raw.rfind(b"\n", 0, bad) + 1
+            position = raw.count(b"\n", 0, bad) + 1, len(raw[line_start:bad].decode()) + 1
+            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})", *position) from None

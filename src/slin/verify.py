@@ -64,12 +64,10 @@ def verify_symbolic(sys: PolySystem, sl) -> VerifyReport:
     """Check L_f(q_i) == sum_j A_ij q_j + D_i for every lifted coordinate.
 
     q_i is coordinate i's expansion in x (the variable itself for i <= n).
-    Fails fast with the first offending row and its exact residual.
+    Fails fast with the first offending row and its exact residual. A lift
+    over other variables raises DimensionMismatchError.
     """
-    if sl.n != sys.dim or tuple(sl.var_names[: sl.n]) != tuple(sys.vars.names):
-        raise DimensionMismatchError(
-            f"lift is over {sl.var_names[: sl.n]}, system over {sys.vars.names}"
-        )
+    _check_fits(sys, sl)
     expansions = sl.x_expansions()
     for i in range(sl.dim):
         rhs = Polynomial.constant(sys.vars, sl.D[i])
@@ -85,6 +83,14 @@ def verify_symbolic(sys: PolySystem, sl) -> VerifyReport:
                 residual=residual,
             )
     return VerifyReport(ok=True)
+
+
+def _check_fits(sys: PolySystem, sl) -> None:
+    """Raise DimensionMismatchError unless the lift's x is the system's variables, in order."""
+    if sl.n != sys.dim or tuple(sl.var_names[: sl.n]) != sys.vars.names:
+        raise DimensionMismatchError(
+            f"lift is over {sl.var_names[: sl.n]}, system over {sys.vars.names}"
+        )
 
 
 def _integrate_checked(
@@ -151,17 +157,12 @@ def verify_numeric(
     returns max over samples of the infinity norm of the first n coordinates
     of z minus x. The fields are ``sys.compiled_field`` and
     ``sl.compiled_field``, each compiled on first use and kept. A lift over
-    another dimension raises DimensionMismatchError before anything is
+    other variables raises DimensionMismatchError before anything is
     integrated.
     """
-    _check_dimension(sl, sys.dim)
+    _check_fits(sys, sl)
     xs, _ = _integrate_checked(sys.compiled_field, x0, t_end, step)
     return _projection_error(sl, xs, sys.dim, x0, t_end, step)
-
-
-def _check_dimension(sl, n: int) -> None:
-    if sl.n != n:
-        raise DimensionMismatchError(f"lift has n={sl.n}, system has dimension {n}")
 
 
 def _projection_error(
@@ -171,9 +172,8 @@ def _projection_error(
 
     `xs` holds the flat states, `n` doubles per sample, of the RK4 run of
     the n-dimensional system from `x0` on the same grid, as the kernel made
-    them.
+    them. The caller has checked that the lift fits the system.
     """
-    _check_dimension(sl, n)
     z0 = array("d", x0)
     z0 += numeric.evaluate_compiled(sl.compiled_expansions, z0)
     zs, _ = _integrate_checked(sl.compiled_field, z0, t_end, step)

@@ -81,9 +81,24 @@ def chained_substitute(p, images, target=None):
         for i, e in enumerate(mono):
             if e:
                 if (i, e) not in powers:
-                    powers[i, e] = images[i] ** e
+                    powers[i, e] = pow_by_squaring(images[i], e)
                 term = term * powers[i, e]
         result = result + term
+    return result
+
+
+def pow_by_squaring(p, e: int):
+    """``p**e`` by square and multiply over the public ``*``, low bits first.
+
+    `Polynomial.__pow__` promises this result, dict order included; it is
+    the reference for that promise.
+    """
+    result = Polynomial.constant(p.space, 1)
+    while e:
+        if e & 1:
+            result = result * p
+        p = p * p if e > 1 else p
+        e >>= 1
     return result
 
 

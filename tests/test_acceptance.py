@@ -57,11 +57,11 @@ def test_criterion_2_five_state_end_to_end():
     report = check_condition(g, d)
     assert report.ok
     intra = {
-        e: w.constant_value()
+        e: w.render()
         for e, w in g.weights.items()
         if d.component_of[e[0]] == d.component_of[e[1]]
     }
-    assert intra == {(0, 1): -1, (1, 0): 1, (4, 4): -1}
+    assert intra == {(0, 1): "-1", (1, 0): "1", (4, 4): "-1"}
 
     sl = superlinearize(s)
     assert sl.m <= 16

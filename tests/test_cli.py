@@ -69,16 +69,24 @@ def test_check_missing_file(capsys):
         ["lift", "{two_state}", "-o", "{dir}"],
         ["verify", "{two_state}", "{dir}"],
         ["verify", "{two_state}", "{latin1}"],
+        ["simulate", "{two_state}", "--lift", "{latin1_lift}", "--x0", "1,1"],
     ],
-    ids=["check-dir", "check-latin1", "dot-to-dir", "lift-o-dir", "verify-dir", "verify-latin1"],
+    ids=["check-dir", "check-latin1", "dot-to-dir", "lift-o-dir", "verify-dir", "verify-latin1",
+         "simulate-latin1-lift"],
 )
 def test_io_failure_prints_one_error_line(files, capsys, argv):
     latin1 = files["dir"] / "latin1.sys"
     latin1.write_bytes("vars: x\nx' = -x # caf\xe9\n".encode("latin-1"))
-    paths = dict(files, latin1=str(latin1))
+    latin1_lift = files["dir"] / "latin1.json"
+    latin1_lift.write_bytes('{"schema": "caf\xe9"}'.encode("latin-1"))
+    paths = dict(files, latin1=str(latin1), latin1_lift=str(latin1_lift))
     assert main([arg.format(**paths) for arg in argv]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # no verdict, summary or trajectory before the error
     assert err.startswith("error: ") and err.count("\n") == 1
+    for key in ("latin1", "latin1_lift"):
+        if "{%s}" % key in argv:
+            assert paths[key] in err  # the error names the file that is not UTF-8
 
 
 def test_check_parse_error_position(files, capsys, tmp_path):
@@ -236,6 +244,19 @@ def test_simulate_with_lift_reports_error(files, capsys, tmp_path):
     error_line = next(l for l in stdout.splitlines() if "max projection error" in l)
     reported = float(error_line.split(":")[-1])
     assert reported <= 1e-6
+
+
+def test_simulate_rejects_a_lift_over_other_names(files, capsys, tmp_path):
+    lift_path = tmp_path / "lift.json"
+    assert main(["lift", files["two_state"], "-o", str(lift_path)]) == 0
+    capsys.readouterr()
+    renamed = tmp_path / "renamed.sys"
+    renamed.write_text(TWO_STATE.replace("x", "u").replace("y", "v"))
+    argv = ["simulate", str(renamed), "--lift", str(lift_path), "--x0", "1,1"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # no projection error and no CSV
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_simulate_with_lift_integrates_each_flow_once(files, capsys, tmp_path, monkeypatch):

@@ -1,7 +1,6 @@
 """Dependency graph, strong components, skeleton layering, condition check."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -19,7 +18,14 @@ from slin import (
 )
 from slin.depgraph import skeleton_dot, wdg_dot
 
-from helpers import P, brute_force_simple_cycles, five_state, random_wdg, space
+from helpers import (
+    P,
+    brute_force_simple_cycles,
+    five_state,
+    random_layered_system,
+    random_wdg,
+    space,
+)
 
 
 def test_wdg_of_five_state_matches_known_edges():
@@ -50,6 +56,30 @@ def test_wdg_of_linear_system_is_transposed_pattern():
     g = build_wdg(s)
     assert set(g.weights) == {(1, 0), (2, 1), (0, 2), (2, 2)}
     assert all(w.is_constant() for w in g.weights.values())
+
+
+def test_wdg_differentiates_only_along_occurring_variables(monkeypatch):
+    rng = random.Random(4711)
+    differentiate = Polynomial.differentiate
+    calls = []
+
+    def recording(p, i):
+        calls.append(any(mono[i] for mono in p.terms))
+        return differentiate(p, i)
+
+    for _ in range(100):
+        s = random_layered_system(rng)
+        every_variable = {}
+        for j, f_j in enumerate(s.rhs):
+            for i in range(s.dim):
+                w = f_j.differentiate(i)
+                if w:
+                    every_variable[(i, j)] = w
+        monkeypatch.setattr(Polynomial, "differentiate", recording)
+        g = build_wdg(s)
+        monkeypatch.undo()
+        assert list(g.weights.items()) == list(every_variable.items())
+    assert calls and all(calls)
 
 
 # --- strong components and skeleton -------------------------------------------
@@ -149,10 +179,10 @@ def test_condition_passes_on_five_state():
         for (i, j), w in g.weights.items()
         if d.component_of[i] == d.component_of[j]
     }
-    assert {e: w.constant_value() for e, w in intra.items()} == {
-        (0, 1): Fraction(-1),
-        (1, 0): Fraction(1),
-        (4, 4): Fraction(-1),
+    assert {e: w.render() for e, w in intra.items()} == {
+        (0, 1): "-1",
+        (1, 0): "1",
+        (4, 4): "-1",
     }
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from slin import NEG_INF, Polynomial, SpaceMismatchError, lie_derivative
 
-from helpers import P, chained_substitute, space, sympy_terms, to_sympy
+from helpers import P, chained_substitute, pow_by_squaring, space, sympy_terms, to_sympy
 
 XY = space("x1 x2")
 XYZ = space("x1 x2 x3")
@@ -287,6 +287,17 @@ def images_uv(coeffs=coeffs):
 def test_substitute_keeps_the_chained_operator_result_and_order(p, images):
     expected = list(chained_substitute(p, images).terms.items())
     assert list(p.substitute(images).terms.items()) == expected
+
+
+@given(
+    st.dictionaries(st.sampled_from(MONOS_3), small_coeffs, max_size=6).map(
+        lambda d: Polynomial(XYZ, d)
+    ),
+    st.integers(min_value=0, max_value=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_pow_keeps_the_square_and_multiply_result_and_order(p, e):
+    assert list((p**e).terms.items()) == list(pow_by_squaring(p, e).terms.items())
 
 
 def test_substitute_keeps_the_chained_operator_order_through_cancellation():

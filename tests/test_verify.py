@@ -256,6 +256,15 @@ def test_verify_numeric_checks_the_dimension_before_integrating(monkeypatch):
     assert calls == []
 
 
+def test_verify_numeric_rejects_other_names_before_integrating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(numeric, "RK4_KERNEL", lambda *args: calls.append(args))
+    renamed = parse_system("vars: u v\nu' = -u + v^2\nv' = -v\n")
+    with pytest.raises(DimensionMismatchError):
+        verify_numeric(renamed, superlinearize(two_state()), [1.0, 1.0], 1.0, 1e-3)
+    assert calls == []
+
+
 def test_verify_numeric_dimension_mismatch_on_a_divergent_system():
     blowup = parse_system(BLOWUP)  # x' = x^2 from x = 1 blows up at t = 1
     with pytest.raises(DivergenceError):
