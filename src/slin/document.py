@@ -128,11 +128,13 @@ def save_lift(sl: SuperLinearization, path) -> None:
 
 
 def load_lift(path) -> SuperLinearization:
+    """Read a lift document; a file that is not UTF-8 or not JSON is a
+    SchemaError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     return document_to_lift(doc)

@@ -17,13 +17,16 @@ class SpaceMismatchError(SlinError):
 
 
 class ParseError(SlinError):
-    """System-file rejection, with 1-based position information."""
+    """System-file rejection, with 1-based position information and, when
+    the text came from a file, its path: ``path:line:column: message``."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
+    def __init__(self, message: str, line: int, column: int, path=None):
+        where = f"{line}:{column}" if path is None else f"{path}:{line}:{column}"
+        super().__init__(f"{where}: {message}")
         self.message = message
         self.line = line
         self.column = column
+        self.path = path
 
 
 class NonPolynomialError(ParseError):

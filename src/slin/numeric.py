@@ -21,6 +21,16 @@ agree bit for bit. The same holds for the evaluation of a compiled map
 two flat trajectories (`PROJECTION_ERROR`, pure twin
 `projection_error_python`).
 
+The C side evaluates a map over a flat term stream, derived from the CSR
+arrays once per call: each term's multiplication count and one list of the
+state indices it multiplies in, a factor ``x^e`` spelled as e copies of x's
+index; each component sums its terms in a register. The stream replaced a
+walk over each term's factors and each factor's exponent, which the pure
+twin `_eval_into` still takes: on the one-factor terms of a lift those two
+inner loops of varying trip count cost several times the arithmetic, and
+the stream takes about half the time per step there. Both multiply and add
+the same values in the same order, so their results are the same bits.
+
 The extension also formats trajectory rows as CSV text (`FORMAT_ROWS`, used by
 `verify.write_trajectory_csv`), every value byte for byte equal to ``repr``;
 without it the rows are written with ``repr`` itself.
@@ -53,8 +63,13 @@ class CompiledField:
     variables as components. Component c owns terms
     comp_ptr[c]:comp_ptr[c+1]; term t has coefficient
     coeff[t] and factors term_ptr[t]:term_ptr[t+1], each factor being
-    variable fvar[f] raised to fexp[f] (by repeated multiplication, so
+    variable fvar[f] raised to fexp[f] >= 0 (by repeated multiplication, so
     overflow saturates to inf instead of raising).
+
+    This layout is the interface to both backends. The C side turns it,
+    once per call, into the flat term stream of the module docstring, and
+    rejects a negative exponent, or more than 2**31 - 1 multiplications in
+    one evaluation, with ValueError.
     """
 
     dim: int

@@ -334,12 +334,17 @@ def render_system(sys: PolySystem) -> str:
 
 
 def load_system(path) -> PolySystem:
-    """Parse a system file; a file that is not UTF-8 is a ParseError naming it."""
+    """Parse a system file; its every ParseError, a file that is not UTF-8
+    included, names it: ``path:line:column: message``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return parse_system(fh.read())
+            text = fh.read()
         except UnicodeDecodeError as exc:  # one read decodes the whole file
             raw, bad = exc.object, exc.start
             line_start = raw.rfind(b"\n", 0, bad) + 1
             position = raw.count(b"\n", 0, bad) + 1, len(raw[line_start:bad].decode()) + 1
-            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})", *position) from None
+            raise ParseError(f"not UTF-8 text ({exc.reason})", *position, path) from None
+    try:
+        return parse_system(text)
+    except ParseError as exc:
+        raise type(exc)(exc.message, exc.line, exc.column, path) from None

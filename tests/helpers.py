@@ -1,11 +1,13 @@
 """Shared builders for the test suite: small parsers and random generators."""
 
+from array import array
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
 from slin import Polynomial, VariableSpace, Wdg, parse_polynomial, parse_system
+from slin.numeric import CompiledField
 
 TWO_STATE = """\
 vars: x y
@@ -254,3 +256,66 @@ def random_layered_system(rng):
     from slin import PolySystem
 
     return PolySystem(sp, rhs)
+
+
+# --- compiled maps for the kernel tests -------------------------------------
+
+INT_MAX = 2**31 - 1
+
+
+def random_compiled_map(rng, n_out: int, n_in: int, spike: bool = False):
+    """A random `CompiledField` of `n_out` components over `n_in` variables.
+
+    It has what `compile_field` never writes but the layout allows: constant
+    terms, components without terms, factors of exponent 0 and a variable
+    repeated across the factors of one term. Exponents go up to 12; with
+    `spike`, one more term has one factor of degree 24 to 60.
+    """
+    terms = [[] for _ in range(n_out)]
+    for c in range(n_out):
+        for _ in range(rng.choice((0, 1, 2, 3, 5))):
+            factors = [
+                (rng.randrange(n_in), rng.randint(0, 12) if rng.random() < 0.2 else rng.randint(0, 3))
+                for _ in range(rng.randint(0, 3))
+            ]
+            terms[c].append((rng.uniform(-2, 2), factors))
+    if spike and n_out:
+        factor = (rng.randrange(n_in), rng.randint(24, 60))
+        terms[rng.randrange(n_out)].insert(0, (rng.uniform(-1e-3, 1e-3), [factor]))
+    comp_ptr, coeff, term_ptr, fvar, fexp = [0], [], [0], [], []
+    for component in terms:
+        for value, factors in component:
+            coeff.append(value)
+            for var, e in factors:
+                fvar.append(var)
+                fexp.append(e)
+            term_ptr.append(len(fvar))
+        comp_ptr.append(len(coeff))
+    return CompiledField(
+        n_out, array("i", comp_ptr), array("d", coeff), array("i", term_ptr),
+        array("i", fvar), array("i", fexp),
+    )
+
+
+def _one_term_map(fvar, fexp):
+    """A one-component map over one variable whose one term has these factors."""
+    return CompiledField(
+        1, array("i", [0, 1]), array("d", [1.0]), array("i", [0, len(fvar)]),
+        array("i", fvar), array("i", fexp),
+    )
+
+
+# One-variable maps the compiled helpers must reject with ValueError before
+# they size their term stream.
+BAD_LAYOUTS = {
+    "negative_exponent": _one_term_map([0, 0, 0], [5, -4, 1]),
+    "over_INT_MAX_multiplications": _one_term_map([0, 0], [INT_MAX, 1]),
+    "variable_out_of_range": _one_term_map([0, 1], [1, 1]),
+}
+
+# A map whose term stream spells 2**27 multiplications: 512 MiB of indices.
+HUGE_STREAM = _one_term_map([0], [2**27])
+
+
+def csr_arrays(cf):
+    return [cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp]

@@ -206,6 +206,32 @@ def test_verify_wrongly_typed_document_exits_1(files, capsys, tmp_path, corrupt)
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fault", ["system", "lift"])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_the_error_names_the_faulty_one_of_two_files(files, capsys, tmp_path, command, fault):
+    lift = tmp_path / "good.json"
+    assert main(["lift", files["two_state"], "-o", str(lift)]) == 0
+    system = files["two_state"]
+    if fault == "system":
+        system = tmp_path / "bad.sys"
+        system.write_text(TWO_STATE.replace("y' = -y", "y' = -y *"))
+        expected = f"error: {system}:3:10: expected a term\n"
+    else:
+        truncated = tmp_path / "trunc.json"
+        truncated.write_text(lift.read_text()[:40])
+        lift = truncated
+        expected = f"error: {truncated}: not valid JSON: "
+    argv = {
+        "verify": ["verify", str(system), str(lift)],
+        "simulate": ["simulate", str(system), "--lift", str(lift), "--x0", "1,1"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(expected) and err.count("\n") == 1
+
+
 # --- simulate ----------------------------------------------------------------
 
 

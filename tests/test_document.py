@@ -131,8 +131,9 @@ def test_rejects_undeclared_variable_in_expansion():
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
-    with pytest.raises(SchemaError, match="JSON"):
+    with pytest.raises(SchemaError, match="JSON") as exc:
         load_lift(path)
+    assert str(exc.value).startswith(f"{path}: not valid JSON: ")
 
 
 def test_document_is_json_serializable():

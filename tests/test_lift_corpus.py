@@ -23,15 +23,17 @@ import hashlib
 import json
 import random
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
 
 from slin import SlinError, superlinearize
 from slin.document import lift_to_document
+from slin.numeric import _eval_into, integrate, rk4_kernel_python
 from slin.sysparse import load_system
 
-from helpers import cascade, five_state, random_layered_system
+from helpers import cascade, csr_arrays, five_state, random_layered_system
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
@@ -136,6 +138,28 @@ def test_lift_documents_match_the_corpus(documents):
         name for name in corpus_systems() if document_digest(name) != documents[name]
     ]
     assert moved == []
+
+
+def test_every_lift_field_steps_bit_for_bit_on_both_backends(compiled_ext):
+    rng = random.Random(11)
+    for name in corpus_systems():
+        sl = lift_of(name)
+        if isinstance(sl, str):
+            continue
+        x0 = array("d", [rng.uniform(-1, 1) for _ in range(sl.n)])
+        starts = []
+        for helper in (compiled_ext.eval_into, _eval_into):
+            start = array("d", [0.0]) * sl.m
+            helper(*csr_arrays(sl.compiled_expansions), x0, start)
+            starts.append(start.tobytes())
+        assert starts[0] == starts[1], name
+        z0 = x0 + array("d", starts[0])
+        flows = [
+            integrate(sl.compiled_field, z0, 1e-2, 50, kernel)
+            for kernel in (compiled_ext.rk4_kernel, rk4_kernel_python)
+        ]
+        assert flows[0][1] == flows[1][1], name
+        assert flows[0][0].tobytes() == flows[1][0].tobytes(), name
 
 
 if __name__ == "__main__":

@@ -3,11 +3,13 @@
 import math
 import os
 import random
+import subprocess
 import sys
 import types
 from array import array
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,17 @@ from slin.numeric import (
     rk4_kernel_python,
 )
 
-from helpers import cascade, five_state, space, two_state
+from helpers import (
+    BAD_LAYOUTS,
+    cascade,
+    csr_arrays,
+    five_state,
+    random_compiled_map,
+    space,
+    two_state,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 try:
     import slin._rk4  # noqa: F401
@@ -104,7 +116,7 @@ def test_backends_agree_on_divergence_step(compiled_kernel):
 
 def test_compiled_kernel_checks_its_buffers(compiled_kernel):
     cf = compile_field(five_state().rhs)
-    arrays = [cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp]
+    arrays = csr_arrays(cf)
     y = array("d", [0.1, 0.2, 0.3, 0.4, 0.5])
     out = array("d", bytes(8 * 11 * cf.dim))
     assert compiled_kernel(*arrays, y, 1e-3, 10, out) == 10
@@ -120,6 +132,9 @@ def test_compiled_kernel_checks_its_buffers(compiled_kernel):
         compiled_kernel(*arrays, y, 1e-3, 11, out)  # needs 12 samples, has 11
     with pytest.raises(ValueError):
         compiled_kernel(*arrays, y[:4], 1e-3, 10, out)  # fvar indexes x5
+    for cf in BAD_LAYOUTS.values():
+        with pytest.raises(ValueError):
+            compiled_kernel(*csr_arrays(cf), y[:1], 1e-3, 10, out)
 
 
 def test_integrate_rejects_wrong_state_size():
@@ -276,7 +291,7 @@ def test_compiled_map_equals_evaluate_on_any_point(compiled_ext, ps, point):
 
 def test_compiled_map_checks_its_buffers(compiled_ext):
     cf = superlinearize(five_state()).compiled_expansions
-    arrays = [cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp]
+    arrays = csr_arrays(cf)
     y = array("d", [0.1, 0.2, 0.3, 0.4, 0.5])
     res = array("d", [0.0]) * cf.dim
     compiled_ext.eval_into(*arrays, y, res)
@@ -290,6 +305,42 @@ def test_compiled_map_checks_its_buffers(compiled_ext):
         compiled_ext.eval_into(*arrays, y, res[:-1])  # one component too few
     with pytest.raises(ValueError):
         compiled_ext.eval_into(*arrays, res, res)  # y and res share memory
+    for cf in BAD_LAYOUTS.values():
+        with pytest.raises(ValueError):
+            compiled_ext.eval_into(*csr_arrays(cf), y[:1], res[:1])
+
+
+def test_a_term_stream_too_large_to_allocate_is_a_memory_error(compiled_ext):
+    # In a process of its own, whose address space kernel_smoke.py caps.
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("capping the address space reads its size from /proc")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "kernel_smoke.py"), compiled_ext.__file__,
+         "--limit-memory"],
+        capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+                 SLIN_PURE_PYTHON="1"),
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stdout + proc.stderr
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6), st.booleans())
+def test_compiled_kernel_equals_its_twin_on_any_field(compiled_ext, rng, dim, spike):
+    cf = random_compiled_map(rng, dim, dim, spike)
+    y0 = [rng.uniform(-1, 1) for _ in range(dim)]
+    c_states, c_done = integrate(cf, y0, 1e-2, 50, compiled_ext.rk4_kernel)
+    py_states, py_done = integrate(cf, y0, 1e-2, 50, rk4_kernel_python)
+    assert c_done == py_done
+    assert c_states.tobytes() == py_states.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 6), st.integers(1, 6), st.booleans())
+def test_compiled_map_equals_its_twin_on_any_map(compiled_ext, rng, n_out, n_in, spike):
+    cf = random_compiled_map(rng, n_out, n_in, spike)
+    c, pure = _eval_both(compiled_ext, cf, [rng.uniform(-1.5, 1.5) for _ in range(n_in)])
+    assert c == pure
 
 
 def _projection_errors(compiled_ext, zs, dim_z, xs, n):

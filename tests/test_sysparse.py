@@ -17,6 +17,7 @@ from slin import (
     parse_system,
     render_system,
 )
+from slin.sysparse import load_system
 
 from helpers import FIVE_STATE, P, TWO_STATE, random_layered_system, space
 
@@ -168,6 +169,15 @@ def test_roundtrip_constant_systems(values):
     assert parse_system(render_system(s)) == s
     for i, v in enumerate(values):
         assert s.rhs[i] == Polynomial.constant(s.vars, v)
+
+
+def test_load_system_names_the_file_in_a_grammar_error(tmp_path):
+    path = tmp_path / "bad.sys"
+    path.write_text("vars: x\nx' = 1/x\n")
+    with pytest.raises(NonPolynomialError) as exc:
+        load_system(path)
+    assert (exc.value.path, exc.value.line) == (path, 2)
+    assert str(exc.value) == f"{path}:2:{exc.value.column}: {exc.value.message}"
 
 
 @given(st.text(alphabet="xy12+-*^/() \t'=#:\n", max_size=40))
