@@ -19,9 +19,10 @@
  *
  * The module also evaluates a compiled polynomial map once (eval_into, the
  * start state of a lift), takes the projection error between two flat
- * trajectories (projection_error), each mirroring its pure twin in
- * slin.numeric, and formats trajectory rows as CSV text (format_rows), every
- * value byte for byte equal to its Python repr.
+ * trajectories (projection_error) and formats the rows of a flat trajectory
+ * as CSV text (format_rows), each mirroring its pure twin in slin.numeric:
+ * the formatter reads the doubles the kernel wrote, dim per sample, and
+ * renders t = k * step and every state value byte for byte as repr does.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -355,45 +356,6 @@ done:
 
 /* ---- CSV rows ------------------------------------------------------------ */
 
-/* UTF-8 text under construction. */
-typedef struct {
-    char *buf;
-    Py_ssize_t len, cap;
-} text_buf;
-
-static int
-reserve(text_buf *tb, Py_ssize_t extra)
-{
-    if (tb->len + extra <= tb->cap)
-        return 0;
-    Py_ssize_t cap = tb->cap ? tb->cap : 4096;
-    while (cap < tb->len + extra) {
-        if (cap > PY_SSIZE_T_MAX / 2) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        cap *= 2;
-    }
-    char *grown = PyMem_Realloc(tb->buf, cap);
-    if (grown == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    tb->buf = grown;
-    tb->cap = cap;
-    return 0;
-}
-
-static int
-append(text_buf *tb, const char *text, Py_ssize_t n)
-{
-    if (reserve(tb, n) < 0)
-        return -1;
-    memcpy(tb->buf + tb->len, text, n);
-    tb->len += n;
-    return 0;
-}
-
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
@@ -538,93 +500,78 @@ format_shortest(double v, char *out)
 }
 #endif
 
-/* Append repr(obj). */
-static int
-append_repr(text_buf *tb, PyObject *obj)
+/* Write repr(v) at `o`, which has room for 32 bytes; return its end, or
+ * NULL with an exception set. */
+static char *
+put_double(char *o, double v)
 {
-    if (PyFloat_CheckExact(obj)) {
-        double v = PyFloat_AS_DOUBLE(obj);
-        if (reserve(tb, 32) < 0)
-            return -1;
-        int n = format_shortest(v, tb->buf + tb->len);
-        if (n > 0) {
-            tb->len += n;
-            return 0;
-        }
-        /* What float.__repr__ itself calls. */
-        char *text = PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
-        if (text == NULL)
-            return -1;
-        int rc = append(tb, text, (Py_ssize_t)strlen(text));
-        PyMem_Free(text);
-        return rc;
-    }
-    PyObject *repr = PyObject_Repr(obj);
-    if (repr == NULL)
-        return -1;
-    Py_ssize_t n;
-    const char *text = PyUnicode_AsUTF8AndSize(repr, &n);
-    int rc = text == NULL ? -1 : append(tb, text, n);
-    Py_DECREF(repr);
-    return rc;
-}
-
-/* Append the items of `seq`, each preceded by a comma. */
-static int
-append_state(text_buf *tb, PyObject *state)
-{
-    PyObject *seq = PySequence_Fast(state, "each state must be iterable");
-    if (seq == NULL)
-        return -1;
-    int rc = 0;
-    for (Py_ssize_t i = 0; rc == 0 && i < PySequence_Fast_GET_SIZE(seq); i++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
-        Py_INCREF(item);
-        rc = append(tb, ",", 1) < 0 || append_repr(tb, item) < 0 ? -1 : 0;
-        Py_DECREF(item);
-    }
-    Py_DECREF(seq);
-    return rc;
+    int n = format_shortest(v, o);
+    if (n > 0)
+        return o + n;
+    /* What float.__repr__ itself calls: at most 24 bytes, as in
+       "-2.2250738585072014e-308". */
+    char *text = PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+    if (text == NULL)
+        return NULL;
+    size_t len = strlen(text);
+    memcpy(o, text, len);
+    PyMem_Free(text);
+    return o + len;
 }
 
 static PyObject *
 format_rows(PyObject *self, PyObject *args)
 {
-    PyObject *times, *states, *tseq = NULL, *sseq = NULL, *result = NULL;
-    Py_ssize_t start, stop;
-    text_buf tb = {NULL, 0, 0};
+    PyObject *obj, *result = NULL;
+    Py_ssize_t dim, start, stop;
+    double step;
+    Py_buffer view;
+    char *text = NULL, *o;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "OOnn:format_rows", &times, &states, &start,
+    if (!PyArg_ParseTuple(args, "Ondnn:format_rows", &obj, &dim, &step, &start,
                           &stop))
         return NULL;
-    tseq = PySequence_Fast(times, "times must be iterable");
-    if (tseq == NULL)
+    if (get_buffer(obj, 'd', 0, &view, "flat") < 0)
+        return NULL;
+    Py_ssize_t len = view.len / (Py_ssize_t)sizeof(double);
+    if (dim < 1 || len % dim != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "flat must hold whole samples of dim >= 1 doubles");
         goto done;
-    sseq = PySequence_Fast(states, "states must be iterable");
-    if (sseq == NULL)
-        goto done;
-    for (Py_ssize_t r = start < 0 ? 0 : start; r < stop; r++) {
-        /* Rows pair up as zip(times, states) pairs them. */
-        if (r >= PySequence_Fast_GET_SIZE(tseq)
-            || r >= PySequence_Fast_GET_SIZE(sseq))
-            break;
-        PyObject *t = PySequence_Fast_GET_ITEM(tseq, r);
-        PyObject *state = PySequence_Fast_GET_ITEM(sseq, r);
-        Py_INCREF(t);
-        Py_INCREF(state);
-        int rc = append_repr(&tb, t) < 0 || append_state(&tb, state) < 0
-                 || append(&tb, "\n", 1) < 0;
-        Py_DECREF(t);
-        Py_DECREF(state);
-        if (rc)
-            goto done;
     }
-    result = PyUnicode_DecodeUTF8(tb.buf ? tb.buf : "", tb.len, NULL);
+    const double *flat = view.buf;
+    if (start < 0)
+        start = 0;
+    if (stop > len / dim)
+        stop = len / dim;
+    Py_ssize_t rows = stop > start ? stop - start : 0;
+    /* Every value takes at most 32 bytes and its separator one more. With
+       rows > 0, dim <= len, so dim + 1 cannot overflow. */
+    if (rows > 0 && rows > PY_SSIZE_T_MAX / 33 / (dim + 1)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    text = o = PyMem_Malloc(rows * (dim + 1) * 33);
+    if (text == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t k = start; k < start + rows; k++) {
+        /* t = k * step, as Python multiplies an int by a float. */
+        if ((o = put_double(o, (double)k * step)) == NULL)
+            goto done;
+        for (const double *v = flat + k * dim; v < flat + (k + 1) * dim; v++) {
+            *o++ = ',';
+            if ((o = put_double(o, *v)) == NULL)
+                goto done;
+        }
+        *o++ = '\n';
+    }
+    result = PyUnicode_DecodeUTF8(text, o - text, NULL);
 done:
-    PyMem_Free(tb.buf);
-    Py_XDECREF(tseq);
-    Py_XDECREF(sseq);
+    PyMem_Free(text);
+    PyBuffer_Release(&view);
     return result;
 }
 
@@ -642,9 +589,9 @@ static PyMethodDef methods[] = {
      "i < n, over the samples of two flat trajectories; see "
      "slin.numeric.projection_error_python for the contract."},
     {"format_rows", format_rows, METH_VARARGS,
-     "format_rows(times, states, start, stop)\n--\n\nCSV rows start:stop "
-     "of a trajectory, one 't,<state...>' line per sample, every value "
-     "rendered exactly as repr renders it."},
+     "format_rows(flat, dim, step, start, stop)\n--\n\nCSV rows start:stop "
+     "of a flat trajectory; see slin.numeric.format_rows_python for the "
+     "contract."},
     {NULL, NULL, 0, NULL},
 };
 

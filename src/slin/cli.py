@@ -29,7 +29,7 @@ from .errors import (
 )
 from .lift import superlinearize, xumama_check
 from .sysparse import load_system
-from .verify import _check_fits, _projection_error, _simulate, verify_symbolic, write_trajectory_csv
+from .verify import _check_fits, _projection_error, simulate, verify_symbolic, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,13 +129,14 @@ def cmd_simulate(args) -> int:
         )
         return EXIT_USAGE
 
+    sl = load_lift(args.lift) if args.lift else None
+    if sl is not None:  # before anything is integrated
+        _check_fits(sys_, sl)
     try:
-        traj, xs = _simulate(sys_.rhs, x0, args.t, args.step)
-        if args.lift:
-            sl = load_lift(args.lift)
-            _check_fits(sys_, sl)
+        traj = simulate(sys_.rhs, x0, args.t, args.step)
+        if sl is not None:
             # The numeric check against the trajectory already integrated.
-            error = _projection_error(sl, xs, sys_.dim, x0, args.t, args.step)
+            error = _projection_error(sl, traj)
             print(f"max projection error on [0, {args.t:g}]: {error:.3e}")
     except ValueError as exc:  # bad --t, --step or --x0, or too many samples
         print(f"error: {exc}", file=sys.stderr)

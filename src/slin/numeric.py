@@ -31,14 +31,16 @@ inner loops of varying trip count cost several times the arithmetic, and
 the stream takes about half the time per step there. Both multiply and add
 the same values in the same order, so their results are the same bits.
 
-The extension also formats trajectory rows as CSV text (`FORMAT_ROWS`, used by
-`verify.write_trajectory_csv`), every value byte for byte equal to ``repr``;
-without it the rows are written with ``repr`` itself.
+The CSV text of a trajectory's rows has a pair of its own (`FORMAT_ROWS`,
+pure twin `format_rows_python`, used by `verify.write_trajectory_csv`):
+both read the flat buffer the kernel wrote, `dim` doubles per sample, and
+render every value, the sample time ``k * step`` included, byte for byte
+as ``repr`` renders it.
 
 The extension is picked at import when present with every one of these
 functions, and `BACKEND` reports the backend in use: ``"c"`` or
 ``"python"``. A stale build that lacks one of them selects the pure twins of
-all of them; `FORMAT_ROWS` is None exactly when `BACKEND` is ``"python"``.
+all of them.
 Set ``SLIN_PURE_PYTHON=1`` to force the fallback (useful for benchmarking
 and debugging).
 """
@@ -66,10 +68,10 @@ class CompiledField:
     variable fvar[f] raised to fexp[f] >= 0 (by repeated multiplication, so
     overflow saturates to inf instead of raising).
 
-    This layout is the interface to both backends. The C side turns it,
+    This layout is the interface to both backends. Both reject a negative
+    exponent with ValueError, once per call. The C side turns the layout,
     once per call, into the flat term stream of the module docstring, and
-    rejects a negative exponent, or more than 2**31 - 1 multiplications in
-    one evaluation, with ValueError.
+    also rejects more than 2**31 - 1 multiplications in one evaluation.
     """
 
     dim: int
@@ -119,8 +121,19 @@ def _flatten(polys, term_order) -> CompiledField:
     return CompiledField(len(polys), comp_ptr, coeff, term_ptr, fvar, fexp)
 
 
+def _check_exponents(fexp) -> None:
+    if min(fexp, default=0) < 0:
+        raise ValueError("compiled field exponents must be nonnegative")
+
+
 def _eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, y, res):
     """Write the len(res) components of a compiled map at point `y` into `res`."""
+    _check_exponents(fexp)
+    _evaluate(comp_ptr, coeff, term_ptr, fvar, fexp, y, res)
+
+
+def _evaluate(comp_ptr, coeff, term_ptr, fvar, fexp, y, res):
+    """`_eval_into` on exponents already checked."""
     for c in range(len(res)):
         acc = 0.0
         for t in range(comp_ptr[c], comp_ptr[c + 1]):
@@ -140,8 +153,10 @@ def rk4_kernel_python(
 
     `y` is the start state (not modified), `out` has room for
     (n_steps + 1) * dim doubles. Returns the number of completed steps with a
-    finite state; fewer than n_steps means divergence.
+    finite state; fewer than n_steps means divergence. A negative exponent
+    is a ValueError.
     """
+    _check_exponents(fexp)
     dim = len(y)
     y = list(y)
     lost = [0.0] * dim  # Kahan compensation per component
@@ -154,16 +169,16 @@ def rk4_kernel_python(
     sixth = step / 6.0
     out[0:dim] = array("d", y)
     for s in range(n_steps):
-        _eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, y, k1)
+        _evaluate(comp_ptr, coeff, term_ptr, fvar, fexp, y, k1)
         for i in range(dim):
             ytmp[i] = y[i] + half * k1[i]
-        _eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k2)
+        _evaluate(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k2)
         for i in range(dim):
             ytmp[i] = y[i] + half * k2[i]
-        _eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k3)
+        _evaluate(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k3)
         for i in range(dim):
             ytmp[i] = y[i] + step * k3[i]
-        _eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k4)
+        _evaluate(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k4)
         ok = True
         for i in range(dim):
             # Compensated accumulation keeps the roundoff floor of long
@@ -193,7 +208,19 @@ def projection_error_python(zs, dim_z, xs, n) -> float:
     )
 
 
-_PURE = (rk4_kernel_python, None, _eval_into, projection_error_python, "python")
+def format_rows_python(flat, dim, step, start, stop) -> str:
+    """CSV rows start:stop of a flat trajectory, `dim` doubles per sample:
+    one ``t,<state...>`` line per sample k, with t = k * step, every value
+    rendered by ``repr``. Rows past the last sample are left out."""
+    if dim < 1 or len(flat) % dim:
+        raise ValueError("flat must hold whole samples of dim >= 1 doubles")
+    return "".join(
+        ",".join(map(repr, (k * step, *flat[k * dim : (k + 1) * dim]))) + "\n"
+        for k in range(max(start, 0), min(stop, len(flat) // dim))
+    )
+
+
+_PURE = (rk4_kernel_python, format_rows_python, _eval_into, projection_error_python, "python")
 
 
 def _select_backend():

@@ -16,6 +16,11 @@ one evaluation. That evaluation and the projection error are taken by the C
 extension when it is built and by their pure twins in `numeric` without it,
 with the same result bit for bit. So a call costs time in proportion to its
 samples, not to the size of the lift's symbolic objects.
+
+A `Trajectory` is the flat buffer the RK4 kernel wrote, with its step and
+dimension. The CSV rows (`write_trajectory_csv`) and the projection error
+are taken from that buffer; `times` and `states` are derived from it on
+request, so no sample is regrouped on the way from the kernel to the CSV.
 """
 
 from __future__ import annotations
@@ -34,17 +39,29 @@ from .sysparse import PolySystem
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: strictly increasing times, one state per sample."""
+    """Sampled RK4 solution as the kernel wrote it: sample k is at
+    t = k * step, its state the `dim` doubles flat[k * dim : (k + 1) * dim]."""
 
-    times: tuple
-    states: tuple
+    step: float
+    dim: int
+    flat: array
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("one state per sample time is required")
+        if self.dim < 1 or len(self.flat) % self.dim:
+            raise ValueError("flat must hold whole samples of dim >= 1 doubles")
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.flat) // self.dim
+
+    @property
+    def times(self) -> tuple:
+        return tuple(k * self.step for k in range(len(self)))
+
+    @property
+    def states(self) -> tuple:
+        """One tuple of `dim` floats per sample."""
+        # Component i of every sample is a strided slice of the flat states.
+        return tuple(zip(*(self.flat[i :: self.dim] for i in range(self.dim))))
 
 
 @dataclass(frozen=True)
@@ -95,14 +112,13 @@ def _check_fits(sys: PolySystem, sl) -> None:
 
 def _integrate_checked(
     cf: CompiledField, x0: Sequence[float], t_end: float, step: float
-) -> tuple:
-    """RK4 states, flat with one double per component per sample, and the step count.
+) -> Trajectory:
+    """RK4 samples at t = 0, step, ..., t_end; see `_run` for the rest.
 
     Raises ValueError on a step that is not positive and finite, a horizon
-    that is negative or not finite, a step count too large for a double, an
-    initial state that is not finite, or samples that would not fit in
-    memory, and DivergenceError (carrying the last finite sample time) when
-    the state leaves the finite range.
+    that is negative or not finite, or one that is not a whole number of
+    steps (to a relative 1e-9, which absorbs the rounding of ``t_end /
+    step``).
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError("step must be positive and finite")
@@ -110,21 +126,34 @@ def _integrate_checked(
         raise ValueError("t_end must be finite")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
-    if any(not math.isfinite(v) for v in x0):
-        raise ValueError("initial state must be finite")
     steps = t_end / step
     if not math.isfinite(steps):
         raise ValueError(f"t_end / step is {steps}, not a finite step count")
-    n_steps = int(round(steps))
+    n_steps = round(steps)
+    if not math.isclose(steps, n_steps, rel_tol=1e-9):
+        raise ValueError(f"t_end {t_end:g} is not a whole number of steps of {step:g}")
+    # A double, so that each backend's row formatter gets the same k * step.
+    return _run(cf, x0, float(step), n_steps)
+
+
+def _run(cf: CompiledField, y0: Sequence[float], step: float, n_steps: int) -> Trajectory:
+    """`n_steps` RK4 steps of `step` on a compiled field from `y0`.
+
+    Raises ValueError on a start state that is not finite or samples that
+    would not fit in memory, and DivergenceError (carrying the last finite
+    sample time) when the state leaves the finite range.
+    """
+    if any(not math.isfinite(v) for v in y0):
+        raise ValueError("initial state must be finite")
     if (n_steps + 1) * cf.dim > 200_000_000:
         raise ValueError(
             f"{n_steps} steps of a {cf.dim}-dimensional system would not fit "
             "in memory; increase the step or shorten the horizon"
         )
-    states, completed = integrate(cf, x0, step, n_steps)
+    flat, completed = integrate(cf, y0, step, n_steps)
     if completed < n_steps:
         raise DivergenceError(completed * step)
-    return states, n_steps
+    return Trajectory(step, cf.dim, flat)
 
 
 def simulate(
@@ -132,20 +161,11 @@ def simulate(
 ) -> Trajectory:
     """Classic fixed-step RK4 sampled at t = 0, step, 2*step, ..., t_end.
 
-    Raises DivergenceError (carrying the last finite sample time) when the
-    state leaves the finite range.
+    Raises ValueError on bad numbers (see `_integrate_checked`) and
+    DivergenceError (carrying the last finite sample time) when the state
+    leaves the finite range.
     """
-    return _simulate(field, x0, t_end, step)[0]
-
-
-def _simulate(field: Sequence[Polynomial], x0, t_end, step) -> tuple:
-    """`simulate`'s trajectory and the flat states it groups into samples."""
-    states, n_steps = _integrate_checked(numeric.compile_field(field), x0, t_end, step)
-    dim = len(field)
-    times = tuple(k * step for k in range(n_steps + 1))
-    # Component i of every sample is a strided slice of the flat states.
-    grouped = tuple(zip(*(states[i::dim] for i in range(dim))))
-    return Trajectory(times, grouped), states
+    return _integrate_checked(numeric.compile_field(field), x0, t_end, step)
 
 
 def verify_numeric(
@@ -161,43 +181,35 @@ def verify_numeric(
     integrated.
     """
     _check_fits(sys, sl)
-    xs, _ = _integrate_checked(sys.compiled_field, x0, t_end, step)
-    return _projection_error(sl, xs, sys.dim, x0, t_end, step)
+    return _projection_error(sl, _integrate_checked(sys.compiled_field, x0, t_end, step))
 
 
-def _projection_error(
-    sl, xs: array, n: int, x0: Sequence[float], t_end: float, step: float
-) -> float:
+def _projection_error(sl, traj: Trajectory) -> float:
     """`verify_numeric` given the original flow already integrated.
 
-    `xs` holds the flat states, `n` doubles per sample, of the RK4 run of
-    the n-dimensional system from `x0` on the same grid, as the kernel made
-    them. The caller has checked that the lift fits the system.
+    The lift is integrated on the trajectory's own grid, ``len(traj) - 1``
+    steps of ``traj.step``, from its first sample x0 and p(x0). The caller
+    has checked that the lift fits the system.
     """
-    z0 = array("d", x0)
+    z0 = traj.flat[: traj.dim]
     z0 += numeric.evaluate_compiled(sl.compiled_expansions, z0)
-    zs, _ = _integrate_checked(sl.compiled_field, z0, t_end, step)
-    return numeric.PROJECTION_ERROR(zs, sl.dim, xs, n)
+    zs = _run(sl.compiled_field, z0, traj.step, len(traj) - 1)
+    return numeric.PROJECTION_ERROR(zs.flat, sl.dim, traj.flat, traj.dim)
 
 
-# Rows per `fh.write` on the compiled path, so that no single string holds a
-# long trajectory's whole text.
+# Rows per `fh.write`, so that no single string holds a long trajectory's
+# whole text.
 _CSV_CHUNK_ROWS = 4096
 
 
 def write_trajectory_csv(traj: Trajectory, names: Sequence[str], fh) -> None:
     """CSV with header ``t,<var1>,...``; every value rendered as its ``repr``.
 
-    The text is the same on either backend: the compiled row formatter
-    reproduces ``repr`` byte for byte.
+    The rows come from `numeric.FORMAT_ROWS` over the trajectory's flat
+    buffer, `_CSV_CHUNK_ROWS` at a time; the text is the same on either
+    backend.
     """
     fh.write("t," + ",".join(names) + "\n")
-    format_rows = numeric.FORMAT_ROWS
-    if format_rows is None:
-        fh.writelines(
-            ",".join(map(repr, (t, *state))) + "\n"
-            for t, state in zip(traj.times, traj.states)
-        )
-        return
     for start in range(0, len(traj), _CSV_CHUNK_ROWS):
-        fh.write(format_rows(traj.times, traj.states, start, start + _CSV_CHUNK_ROWS))
+        stop = start + _CSV_CHUNK_ROWS
+        fh.write(numeric.FORMAT_ROWS(traj.flat, traj.dim, traj.step, start, stop))

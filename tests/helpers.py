@@ -1,5 +1,6 @@
 """Shared builders for the test suite: small parsers and random generators."""
 
+import math
 from array import array
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -319,3 +320,28 @@ HUGE_STREAM = _one_term_map([0], [2**27])
 
 def csr_arrays(cf):
     return [cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp]
+
+
+def edge_floats():
+    """Doubles where the CSV row formatter changes its path or its layout."""
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308]
+    # the ends of the window the exact fast path covers
+    for end in (2.0**-12, 2.0**54):
+        values += [end, math.nextafter(end, 0.0), math.nextafter(end, math.inf)]
+    values += [2.0**e for e in range(-20, 61)]
+    # where repr switches between positional and exponent form
+    for switch in (1e-5, 1e-4, 9999999999999998.0, 1e16):
+        values += [switch, math.nextafter(switch, 0.0), math.nextafter(switch, math.inf)]
+    for step in (1e-3, 5e-4, 0.1):
+        values += [k * step for k in range(20001)]
+    return values + [-v for v in values]
+
+
+def random_doubles(rng, n: int) -> array:
+    """`n` doubles of random bits, every other one with a binary exponent
+    around the formatter's fast path window 2^-12 <= |v| < 2^54."""
+    words = array("Q", rng.randbytes(8 * n))
+    keep = (1 << 63) | ((1 << 52) - 1)
+    for i in range(0, n, 2):
+        words[i] = (words[i] & keep) | (rng.randrange(1000, 1081) << 52)
+    return array("d", words.tobytes())

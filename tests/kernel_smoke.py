@@ -4,8 +4,13 @@
 
 The compiled RK4 kernel and map evaluation must equal `rk4_kernel_python`
 and `_eval_into` bit for bit on random maps (`helpers.random_compiled_map`)
-and on the lifts of fivestate and cascade(5,2). Every map of
-`helpers.BAD_LAYOUTS` must be a ValueError, and `helpers.HUGE_STREAM`, whose
+and on the lifts of fivestate and cascade(5,2); the CSV row formatter must
+equal `format_rows_python` byte for byte on `helpers.edge_floats` and on
+random bit patterns, and the projection error `projection_error_python` on
+random flat trajectories. Every map of `helpers.BAD_LAYOUTS` and every bad
+argument of the formatter and the projection error (a dimension below 1, a
+length that is not a whole number of samples) must be a ValueError, a
+buffer of another typecode a TypeError, and `helpers.HUGE_STREAM`, whose
 term stream needs 512 MiB, a MemoryError. For that allocation to fail, either
 pass `--limit-memory`, which caps this process's address space, or, under
 AddressSanitizer (which reserves far more address space than it uses), set
@@ -21,9 +26,25 @@ import sys
 from array import array
 
 from slin import superlinearize
-from slin.numeric import _eval_into, evaluate_compiled, integrate, rk4_kernel_python
+from slin.numeric import (
+    _eval_into,
+    evaluate_compiled,
+    format_rows_python,
+    integrate,
+    projection_error_python,
+    rk4_kernel_python,
+)
 
-from helpers import BAD_LAYOUTS, HUGE_STREAM, cascade, csr_arrays, five_state, random_compiled_map
+from helpers import (
+    BAD_LAYOUTS,
+    HUGE_STREAM,
+    cascade,
+    csr_arrays,
+    edge_floats,
+    five_state,
+    random_compiled_map,
+    random_doubles,
+)
 
 
 def load(path):
@@ -63,6 +84,19 @@ def same_values(ext, cf, point):
     assert c.tobytes() == py.tobytes()
 
 
+def same_rows(ext, values, dim, step):
+    flat = array("d", values) + array("d", [0.0]) * (-len(values) % dim)
+    n = len(flat) // dim
+    for start, stop in [(0, n), (-3, 2), (n - 1, n + 5), (5, 3), (0, 0)]:
+        text = ext.format_rows(flat, dim, step, start, stop)
+        assert text == format_rows_python(flat, dim, step, start, stop)
+
+
+def same_error(ext, zs, dim_z, xs, n):
+    c = ext.projection_error(zs, dim_z, xs, n)
+    assert c.hex() == projection_error_python(zs, dim_z, xs, n).hex()
+
+
 def main(path, limit_memory):
     ext = load(path)
     one, res = array("d", [0.5]), array("d", [0.0])
@@ -70,12 +104,29 @@ def main(path, limit_memory):
     for cf in BAD_LAYOUTS.values():
         expect(ValueError, lambda: ext.rk4_kernel(*csr_arrays(cf), one, 1e-3, 10, out))
         expect(ValueError, lambda: ext.eval_into(*csr_arrays(cf), one, res))
+    six = array("d", [0.5]) * 6
+    for args in [(six, 0, 1e-3, 0, 6), (six, -1, 1e-3, 0, 6), (six, 4, 1e-3, 0, 6)]:
+        expect(ValueError, lambda: ext.format_rows(*args))
+    expect(TypeError, lambda: ext.format_rows(array("f", six), 2, 1e-3, 0, 3))
+    for args in [(six, 0, six, 0), (six, 4, six, 2), (six, 3, six[:5], 2), (six, 2, six, 3)]:
+        expect(ValueError, lambda: ext.projection_error(*args))
+    expect(TypeError, lambda: ext.projection_error(six, 3, array("f", six), 2))
+    # No sample: an empty text, however large the dimension.
+    assert ext.format_rows(array("d"), sys.maxsize, 1e-3, 0, 10) == ""
     if limit_memory:
         limit_address_space(2**28)
     expect(MemoryError, lambda: ext.rk4_kernel(*csr_arrays(HUGE_STREAM), one, 1e-3, 10, out))
     expect(MemoryError, lambda: ext.eval_into(*csr_arrays(HUGE_STREAM), one, res))
 
     rng = random.Random(2024)
+    for step in (1e-3, 5e-4, 0.1):
+        same_rows(ext, edge_floats(), 4, step)
+    same_rows(ext, random_doubles(rng, 200_000), 10, 1e-3)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        dim_z, samples = rng.randint(max(n, 1), 6), rng.randint(1, 8)
+        same_error(ext, random_doubles(rng, samples * dim_z), dim_z,
+                   random_doubles(rng, samples * n), n)
     for k in range(300):
         n_in = rng.randint(1, 6)
         spike = k % 5 == 0

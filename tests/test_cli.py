@@ -285,6 +285,22 @@ def test_simulate_rejects_a_lift_over_other_names(files, capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lift", ["two_state", "missing"])
+def test_simulate_reads_the_lift_before_it_integrates(files, capsys, tmp_path, monkeypatch, lift):
+    # blowup.sys diverges from x = 1, so an integration first would exit 3.
+    lift_path = tmp_path / "lift.json"
+    if lift == "two_state":
+        assert main(["lift", files["two_state"], "-o", str(lift_path)]) == 0
+        capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(numeric, "RK4_KERNEL", lambda *args: calls.append(args))
+    argv = ["simulate", files["blowup"], "--lift", str(lift_path), "--x0", "1", "--t", "5"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and calls == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_simulate_with_lift_integrates_each_flow_once(files, capsys, tmp_path, monkeypatch):
     lift_path = tmp_path / "lift.json"
     assert main(["lift", files["five_state"], "-o", str(lift_path)]) == 0
@@ -409,6 +425,7 @@ def test_simulate_x0_validation(files, capsys):
         ("--t", "inf"),
         ("--step", "1e-320"),
         ("--step", "inf"),
+        ("--step", "0.6"),  # 2 / 0.6 is not a whole number of steps
     ],
 )
 def test_simulate_bad_number_exits_1(files, capsys, flag, value):

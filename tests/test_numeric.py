@@ -20,9 +20,11 @@ from slin.document import document_to_lift, lift_to_document
 from slin.numeric import (
     BACKEND,
     FORMAT_ROWS,
+    _eval_into,
     compile_field,
     compile_map,
     evaluate_compiled,
+    format_rows_python,
     integrate,
     projection_error_python,
     rk4_kernel_python,
@@ -55,7 +57,7 @@ def test_backend_reports_a_known_name():
 
 
 def test_row_formatter_comes_with_the_c_backend():
-    assert (FORMAT_ROWS is not None) == (BACKEND == "c")
+    assert (FORMAT_ROWS is format_rows_python) == (BACKEND == "python")
 
 
 def test_compiled_field_evaluation_matches_polynomials():
@@ -310,6 +312,18 @@ def test_compiled_map_checks_its_buffers(compiled_ext):
             compiled_ext.eval_into(*csr_arrays(cf), y[:1], res[:1])
 
 
+def test_either_backend_rejects_a_negative_exponent(compiled_ext):
+    cf = BAD_LAYOUTS["negative_exponent"]
+    one, res = array("d", [0.5]), array("d", [0.0])
+    out = array("d", [0.0]) * 11
+    for kernel in (compiled_ext.rk4_kernel, rk4_kernel_python):
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernel(*csr_arrays(cf), one, 1e-3, 10, out)
+    for eval_into in (compiled_ext.eval_into, _eval_into):
+        with pytest.raises(ValueError, match="nonnegative"):
+            eval_into(*csr_arrays(cf), one, res)
+
+
 def test_a_term_stream_too_large_to_allocate_is_a_memory_error(compiled_ext):
     # In a process of its own, whose address space kernel_smoke.py caps.
     if not Path("/proc/self/statm").exists():
@@ -413,7 +427,7 @@ def test_a_stale_build_selects_every_pure_twin(monkeypatch, missing):
     kernel, format_rows, eval_into, projection_error, backend = numeric._select_backend()
     assert backend == "python"
     assert kernel is rk4_kernel_python
-    assert format_rows is None
+    assert format_rows is format_rows_python
     assert eval_into is numeric._eval_into
     assert projection_error is projection_error_python
 

@@ -29,7 +29,9 @@ from helpers import (
     BLOWUP,
     P,
     cascade,
+    edge_floats,
     five_state,
+    random_doubles,
     space,
     sympy_terms,
     to_sympy,
@@ -154,6 +156,33 @@ def test_simulate_rejects_non_finite_or_nonpositive_numbers(bad):
     args = dict(x0=[1.0, 1.0], t_end=2.0, step=1e-3) | bad
     with pytest.raises(ValueError):
         simulate(two_state().rhs, **args)
+
+
+def test_a_horizon_must_be_a_whole_number_of_steps():
+    s = two_state()
+    sl = superlinearize(s)
+    x0 = [1.0, 0.5]
+    # Rounded to a step count, 1 / 0.6 and 1 / 0.4 would end the run at t = 1.2 and 0.8.
+    for t_end, step in [(1.0, 0.6), (1.0, 0.4), (0.3, 0.2), (1e-12, 1e-3)]:
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate(s.rhs, x0, t_end, step)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            verify_numeric(s, sl, x0, t_end, step)
+    # t_end / step rounds off an integer in some of these.
+    for t_end, step in [(1.0, 1e-3), (1.0, 5e-4), (2.0, 1e-3), (2.0, 0.02), (0.01, 1e-3),
+                        (0.0, 1e-3), (0.3, 0.1)]:
+        traj = simulate(s.rhs, x0, t_end, step)
+        assert len(traj) == round(t_end / step) + 1
+        assert traj.times[-1] == pytest.approx(t_end, rel=1e-12)
+        assert verify_numeric(s, sl, x0, t_end, step) < 1e-6
+
+
+def test_a_trajectory_holds_whole_samples():
+    traj = Trajectory(0.5, 2, array("d", [1.0, 2.0, 3.0, 4.0]))
+    assert (len(traj), traj.times, traj.states) == (2, (0.0, 0.5), ((1.0, 2.0), (3.0, 4.0)))
+    for dim, flat in [(2, [1.0, 2.0, 3.0]), (0, [])]:
+        with pytest.raises(ValueError):
+            Trajectory(0.5, dim, array("d", flat))
 
 
 def test_simulate_states_equal_per_sample_slices():
@@ -306,7 +335,7 @@ def test_trajectory_csv_equals_per_row_writes():
 
 
 def _csv_text(traj, names, format_rows):
-    """`write_trajectory_csv`'s text with the given row formatter (None: repr)."""
+    """`write_trajectory_csv`'s text with the given row formatter."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numeric, "FORMAT_ROWS", format_rows)
         buf = io.StringIO()
@@ -314,77 +343,37 @@ def _csv_text(traj, names, format_rows):
     return buf.getvalue()
 
 
-def _trajectory_of(values, width):
-    """A synthetic trajectory laying `values` out `width` to a row, t first."""
+def _assert_rows_match_repr(compiled_ext, values, width=3, step=1e-3):
+    """A trajectory laying `values` out `width` to a sample, its times
+    k * step, is written the same by the compiled formatter and by repr."""
     values = list(values)
     values += [0.0] * (-len(values) % width)
-    rows = [tuple(values[i : i + width]) for i in range(0, len(values), width)]
-    return Trajectory(tuple(r[0] for r in rows), tuple(r[1:] for r in rows))
-
-
-def _assert_rows_match_repr(compiled_ext, values, width=4):
-    traj = _trajectory_of(values, width)
-    names = [f"x{i}" for i in range(1, width)]
-    assert _csv_text(traj, names, compiled_ext.format_rows) == _csv_text(traj, names, None)
+    traj = Trajectory(step, width, array("d", values))
+    names = [f"x{i}" for i in range(1, width + 1)]
+    compiled = _csv_text(traj, names, compiled_ext.format_rows)
+    assert compiled == _csv_text(traj, names, numeric.format_rows_python)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     values=st.lists(
         st.one_of(st.floats(), st.floats(-(2.0**55), 2.0**55)), max_size=64
-    )
+    ),
+    step=st.floats(1e-6, 10.0),
 )
-def test_row_formatter_equals_repr_on_any_float(compiled_ext, values):
-    _assert_rows_match_repr(compiled_ext, values)
-
-
-def _edge_values():
-    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308]
-    # the ends of the window the exact fast path covers
-    for end in (2.0**-12, 2.0**54):
-        values += [end, math.nextafter(end, 0.0), math.nextafter(end, math.inf)]
-    values += [2.0**e for e in range(-20, 61)]
-    # where repr switches between positional and exponent form
-    for switch in (1e-5, 1e-4, 9999999999999998.0, 1e16):
-        values += [switch, math.nextafter(switch, 0.0), math.nextafter(switch, math.inf)]
-    for step in (1e-3, 5e-4, 0.1):
-        values += [k * step for k in range(20001)]
-    return values + [-v for v in values]
+def test_row_formatter_equals_repr_on_any_float(compiled_ext, values, step):
+    _assert_rows_match_repr(compiled_ext, values, step=step)
 
 
 def test_row_formatter_equals_repr_on_edge_values(compiled_ext):
-    _assert_rows_match_repr(compiled_ext, _edge_values())
+    # The time column runs through k * step for k up to about 40000.
+    for step in (1e-3, 5e-4, 0.1):
+        _assert_rows_match_repr(compiled_ext, edge_floats(), step=step)
 
 
 def test_row_formatter_equals_repr_on_a_million_bit_patterns(compiled_ext):
-    rng = random.Random(20261018)
-    n = 1_000_000
-    words = array("Q", rng.randbytes(8 * n))
-    # Every other pattern gets a binary exponent around the fast path's window
-    # 2^-12 <= |v| < 2^54; the rest keep uniformly random bits.
-    keep = (1 << 63) | ((1 << 52) - 1)
-    for i in range(0, n, 2):
-        words[i] = (words[i] & keep) | (rng.randrange(1000, 1081) << 52)
-    _assert_rows_match_repr(compiled_ext, array("d", words.tobytes()), width=10)
-
-
-class _Float(float):
-    pass
-
-
-def test_row_formatter_renders_other_entries_with_repr(compiled_ext):
-    entries = [3, -7, 2**70, True, False, _Float(0.1), _Float(-2.5e-300), Fraction(1, 3)]
-    try:
-        import numpy as np
-    except ImportError:
-        pass
-    else:
-        entries += [np.float64(0.1), np.float64(-1e300), np.float32(0.1), np.int64(3)]
-    traj = Trajectory(
-        tuple(entries), tuple([e, 0.5, e] for e in reversed(entries))
-    )
-    names = ("x", "y", "z")
-    assert _csv_text(traj, names, compiled_ext.format_rows) == _csv_text(traj, names, None)
+    values = random_doubles(random.Random(20261018), 1_000_000)
+    _assert_rows_match_repr(compiled_ext, values, width=10)
 
 
 def test_row_formatter_streams_long_trajectories_in_chunks(compiled_ext):
@@ -402,4 +391,4 @@ def test_row_formatter_streams_long_trajectories_in_chunks(compiled_ext):
         buf = Sink()
         write_trajectory_csv(traj, s.vars.names, buf)
     assert len(writes) == 1 + math.ceil(len(traj) / 4096)  # header, then chunks
-    assert buf.getvalue() == _csv_text(traj, s.vars.names, None)
+    assert buf.getvalue() == _csv_text(traj, s.vars.names, numeric.format_rows_python)
