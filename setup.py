@@ -4,7 +4,7 @@ The package is pure Python plus one optional speedup, `slin._rk4`, written in
 plain C against the CPython API: the RK4 stepping kernel, the evaluation of
 a lift's start state, the projection error of the numeric check and the
 formatter of trajectory CSV rows. A missing compiler must never block
-installation (the import falls back to the pure twins and to `repr`).
+installation (the import falls back to the pure twins).
 """
 
 from setuptools import Extension, setup

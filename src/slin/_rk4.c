@@ -10,12 +10,9 @@
  * takes count[t] multiplications, whose state indices follow one another in
  * `mults`, a factor x^e spelled as e copies of x's index. A component sums
  * its terms comp_ptr[c]:comp_ptr[c+1] in a register, and a term multiplies
- * its coefficient by its run of the stream. This replaced a nested walk
- * over each term's factors and each factor's exponent, whose two inner
- * loops of varying trip count cost several times the arithmetic on the
- * one-factor terms of a lift. The stream takes the same multiplications and
- * additions in the same order as numeric._eval_into, so results stay bit
- * for bit those of the pure twin.
+ * its coefficient by its run of the stream. The stream takes the same
+ * multiplications and additions in the same order as numeric._eval_into,
+ * so results stay bit for bit those of the pure twin.
  *
  * The module also evaluates a compiled polynomial map once (eval_into, the
  * start state of a lift), takes the projection error between two flat

@@ -3,6 +3,7 @@
 Exit codes form a small contract for scripting:
   0  success
   1  usage, parse, schema, or I/O problems, a closed stdout included
+     (argparse's own usage errors too; -h exits 0)
   2  mathematical negative (condition fails, verification fails, no certificate)
   3  numeric divergence during integration
 
@@ -134,16 +135,17 @@ def cmd_simulate(args) -> int:
         _check_fits(sys_, sl)
     try:
         traj = simulate(sys_.rhs, x0, args.t, args.step)
-        if sl is not None:
-            # The numeric check against the trajectory already integrated.
-            error = _projection_error(sl, traj)
-            print(f"max projection error on [0, {args.t:g}]: {error:.3e}")
+        # The numeric check against the trajectory already integrated.
+        error = None if sl is None else _projection_error(sl, traj)
     except ValueError as exc:  # bad --t, --step or --x0, or too many samples
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.output:
+    if args.output:  # before the verdict, so a failed write prints none
         with open(args.output, "w", encoding="utf-8") as fh:
             write_trajectory_csv(traj, sys_.vars.names, fh)
+    if error is not None:
+        print(f"max projection error on [0, {args.t:g}]: {error:.3e}")
+    if args.output:
         print(f"trajectory written to {args.output} ({len(traj)} samples)")
     else:
         write_trajectory_csv(traj, sys_.vars.names, sys.stdout)
@@ -205,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after -h
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit

@@ -1,11 +1,12 @@
 """Construction of finite-dimensional linear lifts for polynomial systems.
 
-The pipeline mirrors the layered structure of the dependency graph: the
-depth-0 variables must evolve affinely among themselves; each deeper layer is
-affine in its own variables with polynomial forcing from the coordinates
-already lifted. Forcing terms are absorbed by growing chains of Lie
-derivatives along the current affine field, with exact span detection over
-the graded-lex coefficient vectors deciding when a chain closes on itself.
+The pipeline mirrors the layered structure of the dependency graph: each
+layer is affine in its own variables with polynomial forcing from the
+coordinates already lifted, and the depth-0 layer's forcing is constant.
+Every layer, depth 0 included, is lifted by one step (`prop1_lift`): forcing
+terms are absorbed by growing chains of Lie derivatives along the current
+affine field, with exact span detection over the graded-lex coefficient
+vectors deciding when a chain closes on itself.
 
 The lift is built in its final coordinates from the first layer on: x in its
 original order, then the observables in the order they are created. Each
@@ -238,9 +239,9 @@ def prop1_lift(
     linear_part: Sequence[Dict],
     seeds: Sequence[Polynomial],
     *,
-    obs_prefix: str = "p",
-    obs_start: int = 1,
-    stage: int = 1,
+    obs_prefix: str,
+    obs_start: int,
+    stage: int,
 ) -> Tuple[List[Observable], List[ChainInfo]]:
     """Adjoin one affinely-forced layer to the lift built so far.
 
@@ -253,17 +254,21 @@ def prop1_lift(
 
     The layer's coordinate c = layer[r] obeys x_c' = linear_part[r] x + seeds[r],
     with `linear_part[r]` a row ``{column: coeff}`` over the layer's columns
-    and each seed a polynomial over `space` in the lifted coordinates only. Every
-    seed grows a chain of Lie derivatives along the lifted field. A chain
-    element that falls in the span of {1} u {lifted coordinates} u
-    {observables so far} closes its chain with that exact dependency;
-    otherwise it becomes the next observable, the next column. Chains share
-    one span across all seeds of the call, so repeated nonlinearities are
-    never adjoined twice.
+    and each seed a polynomial over `space` in the lifted coordinates only.
+    Each seed starts a chain in which every element is the forcing term of
+    one row: the seed that of row c, and each later one, its predecessor's
+    Lie derivative along the lifted field, that of the observable its
+    predecessor became. An element in the span of {1} u {lifted
+    coordinates} u {observables so far} closes the chain with that exact
+    dependency; any other becomes the next observable, the next column.
+    Chains share one span across all seeds of the call, so repeated
+    nonlinearities are never adjoined twice. Depth 0's seeds are constants,
+    so its chains close at once against 1.
 
-    Adds the rows of the layer and of the new observables to `rows`, and the
-    new observables' expansions to `expansions`, in place. Returns
-    (observables, chain infos).
+    Observables are named `obs_prefix` + `obs_start`, `obs_start` + 1, ...;
+    `stage` labels the chain infos. Adds the rows of the layer and of the
+    new observables to `rows`, and the new observables' expansions to
+    `expansions`, in place. Returns (observables, chain infos).
     """
     if len(seeds) != len(layer) or len(linear_part) != len(layer):
         raise ValueError("need one seed and one matrix row per layer coordinate")
@@ -288,10 +293,6 @@ def prop1_lift(
         column = len(expansions)
         name = f"{obs_prefix}{obs_start + len(observables)}"
         expansion = q.substitute(images)
-        # Graded-lex descending, the order `render` writes and a reloaded
-        # document reads back, so both sum the terms alike when evaluated.
-        order = sorted(expansion.terms, key=grlex_key, reverse=True)
-        expansion = Polynomial(expansion.space, {m: expansion.terms[m] for m in order})
         expansions.append(expansion)
         observables.append(Observable(name=name, definition=q, expansion=expansion))
         solver.add(_poly_vec(q), column)
@@ -302,28 +303,23 @@ def prop1_lift(
         d = int(degree) if seed.terms else 0
         cap = math.comb(base + d, d)
         created = 0
+        # Row c is `linear` plus the forcing term q.
         q = seed
-        combo = solver.express(_poly_vec(q))
-        if combo is None:
+        while True:
+            combo = solver.express(_poly_vec(q))
+            if combo is not None:
+                rows[c] = {**linear, **combo}
+                break
+            if created >= cap:
+                raise ChainCapError(
+                    f"chain for seed {seed_ordinal} of stage {stage} exceeded "
+                    f"its dimension bound C({base}+{d},{d}) = {cap}"
+                )
             column = new_observable(q)
             created += 1
-            combo = {column: Fraction(1)}
-            while True:
-                q = lie_derivative(q, field)
-                closing = solver.express(_poly_vec(q))
-                if closing is not None:
-                    rows[column] = closing
-                    break
-                if created >= cap:
-                    raise ChainCapError(
-                        f"chain for seed {seed_ordinal} of stage {stage} exceeded "
-                        f"its dimension bound C({base}+{d},{d}) = {cap}"
-                    )
-                prev = column
-                column = new_observable(q)
-                created += 1
-                rows[prev] = {column: Fraction(1)}
-        rows[c] = {**linear, **combo}
+            rows[c] = {**linear, column: Fraction(1)}
+            c, linear = column, {}
+            q = lie_derivative(q, field)
         chains.append(ChainInfo(stage, seed_ordinal, d, base, created, cap))
     return observables, chains
 
@@ -401,21 +397,15 @@ def superlinearize(sys: PolySystem) -> SuperLinearization:
     ]
     prefix = _observable_prefix(sys.vars.names)
 
-    # The depth-0 block must already be affine in its own variables: with no
-    # free variables, `_affine_rows` leaves only a constant over.
     rows: Dict[int, Dict] = {}
-    linear0, leftovers0 = _affine_rows(sys, var_layers[0], frozenset())
-    for v, linear, rest in zip(var_layers[0], linear0, leftovers0):
-        rows[v] = {**linear, **{_CONST: c for c in rest.values()}}
     expansions = [Polynomial.variable(sys.vars, v) for v in range(sys.dim)]
-
     observables: List[Observable] = []
     chains: List[ChainInfo] = []
     names = sys.vars.names
-    for depth in range(1, len(var_layers)):
-        layer = var_layers[depth]
+    for depth, layer in enumerate(var_layers):
         # The x columns of `rows` are the variables already lifted; its
-        # observable columns lie past every x index.
+        # observable columns lie past every x index. At depth 0 none is
+        # lifted, so `_affine_rows` leaves only constants over.
         linear, leftovers = _affine_rows(sys, layer, frozenset(rows))
         space = VariableSpace(names)
         pad = (0,) * len(observables)

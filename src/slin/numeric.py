@@ -8,9 +8,10 @@ each compile their field once (`PolySystem.compiled_field`,
 
 The same arrays also hold a polynomial map that is not square
 (`compile_map`), such as a lift's expansions, m polynomials over n
-variables. `evaluate_compiled` evaluates it bit for bit as
-`Polynomial.evaluate` evaluates each polynomial; that is how the start state
-``(x0, p(x0))`` of a lift is computed.
+variables. Every map is written in graded-lex descending term order, the
+order `Polynomial.evaluate` sums in, so `evaluate_compiled` evaluates it
+bit for bit as `Polynomial.evaluate` evaluates each polynomial; that is how
+the start state ``(x0, p(x0))`` of a lift is computed.
 
 The stepping kernel exists twice with identical semantics: a C extension
 (`slin._rk4`, hand-written against the CPython API and built by setuptools
@@ -24,12 +25,10 @@ two flat trajectories (`PROJECTION_ERROR`, pure twin
 The C side evaluates a map over a flat term stream, derived from the CSR
 arrays once per call: each term's multiplication count and one list of the
 state indices it multiplies in, a factor ``x^e`` spelled as e copies of x's
-index; each component sums its terms in a register. The stream replaced a
-walk over each term's factors and each factor's exponent, which the pure
-twin `_eval_into` still takes: on the one-factor terms of a lift those two
-inner loops of varying trip count cost several times the arithmetic, and
-the stream takes about half the time per step there. Both multiply and add
-the same values in the same order, so their results are the same bits.
+index; each component sums its terms in a register. The pure twin
+`_eval_into` walks each term's factors and each factor's exponent instead.
+Both multiply and add the same values in the same order, so their results
+are the same bits.
 
 The CSV text of a trajectory's rows has a pair of its own (`FORMAT_ROWS`,
 pure twin `format_rows_python`, used by `verify.write_trajectory_csv`):
@@ -83,32 +82,28 @@ class CompiledField:
 
 
 def compile_field(field: Sequence[Polynomial]) -> CompiledField:
-    """A square field in CSR form, each component's terms in graded-lex
-    descending order."""
-    dim = len(field)
-    if any(len(p.space) != dim for p in field):
+    """A square field in CSR form, as `compile_map` writes it."""
+    if any(len(p.space) != len(field) for p in field):
         raise ValueError("field must be square: one component per variable")
-    return _flatten(field, lambda p: sorted(p.terms, key=grlex_key, reverse=True))
+    return compile_map(field)
 
 
 def compile_map(polys: Sequence[Polynomial]) -> CompiledField:
-    """Polynomials over one space in CSR form, for `evaluate_compiled`.
+    """Polynomials in CSR form, for `evaluate_compiled` and the kernel.
 
-    ``dim`` is the number of polynomials. Each keeps its terms in dict order,
-    so evaluating the result takes the same double operations in the same
+    ``dim`` is the number of polynomials. Each writes its terms in graded-lex
+    descending order, the order in which `Polynomial.evaluate` sums them, so
+    equal polynomials compile to the same arrays whatever their dict order,
+    and evaluating the result takes the same double operations in the same
     order as `Polynomial.evaluate`.
     """
-    return _flatten(polys, lambda p: p.terms)
-
-
-def _flatten(polys, term_order) -> CompiledField:
     comp_ptr = array("i", [0])
     coeff = array("d")
     term_ptr = array("i", [0])
     fvar = array("i")
     fexp = array("i")
     for p in polys:
-        for mono in term_order(p):
+        for mono in sorted(p.terms, key=grlex_key, reverse=True):
             c = p.terms[mono]
             # Rounded once, as float(Fraction) and Polynomial.evaluate round it.
             coeff.append(c.numerator / c.denominator)

@@ -11,8 +11,8 @@ they are safe to share freely.
 
 The canonical term order is graded lexicographic over the ambient variable
 order: higher total degree first, ties broken by comparing exponent tuples
-left to right. Rendering, coefficient-vector indexing and the row reduction
-in the lifting module all use this order.
+left to right. Rendering, numeric evaluation, coefficient-vector indexing
+and the row reduction in the lifting module all use this order.
 """
 
 from __future__ import annotations
@@ -290,14 +290,18 @@ class Polynomial:
         """Numeric value at ``point``: direct sum of per-term double products.
 
         Each coefficient is rounded once to the nearest double, then multiplied
-        by one factor per unit of exponent, variables in space order.
+        by one factor per unit of exponent, variables in space order. Terms
+        are summed in graded-lex descending order, as `numeric.compile_map`
+        writes them, so equal polynomials give the same double whatever the
+        order of their term dicts.
         """
         if len(point) != len(self.space):
             raise ValueError(
                 f"point has {len(point)} coordinates, space has {len(self.space)}"
             )
         total = 0.0
-        for mono, coeff in self.terms.items():
+        for mono in sorted(self.terms, key=grlex_key, reverse=True):
+            coeff = self.terms[mono]
             # The correctly rounded int division float(Fraction) performs,
             # without its method dispatch.
             value = coeff.numerator / coeff.denominator

@@ -70,23 +70,47 @@ def test_check_missing_file(capsys):
         ["verify", "{two_state}", "{dir}"],
         ["verify", "{two_state}", "{latin1}"],
         ["simulate", "{two_state}", "--lift", "{latin1_lift}", "--x0", "1,1"],
+        ["simulate", "{two_state}", "--lift", "{lift}", "--x0", "1,1", "-o", "{dir}"],
     ],
     ids=["check-dir", "check-latin1", "dot-to-dir", "lift-o-dir", "verify-dir", "verify-latin1",
-         "simulate-latin1-lift"],
+         "simulate-latin1-lift", "simulate-lift-o-dir"],
 )
 def test_io_failure_prints_one_error_line(files, capsys, argv):
+    lift = files["dir"] / "lift.json"
+    assert main(["lift", files["two_state"], "-o", str(lift)]) == 0
+    capsys.readouterr()
     latin1 = files["dir"] / "latin1.sys"
     latin1.write_bytes("vars: x\nx' = -x # caf\xe9\n".encode("latin-1"))
     latin1_lift = files["dir"] / "latin1.json"
     latin1_lift.write_bytes('{"schema": "caf\xe9"}'.encode("latin-1"))
-    paths = dict(files, latin1=str(latin1), latin1_lift=str(latin1_lift))
+    paths = dict(files, latin1=str(latin1), latin1_lift=str(latin1_lift), lift=str(lift))
     assert main([arg.format(**paths) for arg in argv]) == 1
     out, err = capsys.readouterr()
-    assert out == ""  # no verdict, summary or trajectory before the error
+    assert out == ""  # no verdict, summary, projection error or trajectory before the error
     assert err.startswith("error: ") and err.count("\n") == 1
     for key in ("latin1", "latin1_lift"):
         if "{%s}" % key in argv:
             assert paths[key] in err  # the error names the file that is not UTF-8
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 1),
+        (["frob"], 1),
+        (["simulate", "{two_state}"], 1),  # --x0 is required
+        (["simulate", "{two_state}", "--x0", "1,1", "--t", "abc"], 1),
+        (["xumama", "{two_state}", "--max-n", "abc"], 1),
+        (["-h"], 0),
+        (["simulate", "-h"], 0),
+    ],
+    ids=["no-command", "unknown-command", "no-x0", "t-abc", "max-n-abc", "help", "simulate-help"],
+)
+def test_usage_errors_exit_1_and_help_exits_0(files, capsys, argv, code):
+    # 2 is reserved for mathematical negatives, so a typo must not read as one.
+    assert main([arg.format(**files) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert "usage: slin" in (err if code else out)
 
 
 def test_check_parse_error_position(files, capsys, tmp_path):

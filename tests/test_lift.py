@@ -160,7 +160,9 @@ def test_span_solver_agrees_with_a_sympy_rank_test(width, vec, data):
 def _prop1(sp, rows, layer, linear_part, seeds):
     """`prop1_lift` over identity expansions, with the rows it fills as dense A and D."""
     expansions = [Polynomial.variable(sp, i) for i in range(len(sp))]
-    obs, chains = prop1_lift(sp, rows, expansions, layer, linear_part, seeds)
+    obs, chains = prop1_lift(
+        sp, rows, expansions, layer, linear_part, seeds, obs_prefix="p", obs_start=1, stage=1
+    )
     dim = len(rows)
     A = tuple(tuple(rows[i].get(j, 0) for j in range(dim)) for i in range(dim))
     D = tuple(rows[i].get(_CONST, 0) for i in range(dim))
@@ -240,7 +242,10 @@ def test_superlinearize_five_state_regression():
     assert sl.n == 5
     assert sl.m == 16  # same count as the published construction
     assert verify_symbolic(five_state(), sl).ok
+    # depth 0 lifts through the same step: its constant seeds close at once
     assert [(c.stage, c.seed, c.created, c.cap) for c in sl.chains] == [
+        (0, 0, 0, 1),
+        (0, 1, 0, 1),
         (1, 0, 3, 6),
         (2, 0, 4, 84),
         (2, 1, 9, 84),

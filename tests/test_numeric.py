@@ -291,6 +291,24 @@ def test_compiled_map_equals_evaluate_on_any_point(compiled_ext, ps, point):
     assert c == pure == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.sampled_from(MONOS), wide_coeffs, max_size=6), min_size=3, max_size=3),
+    st.randoms(use_true_random=False),
+    st.tuples(st.floats(), st.floats(), st.floats()),
+)
+def test_equal_polynomials_compile_and_evaluate_alike_in_any_dict_order(terms, rng, point):
+    sp = space("x1 x2 x3")
+    ps = [Polynomial(sp, t) for t in terms]
+    shuffled = [Polynomial(sp, dict(rng.sample(list(t.items()), len(t)))) for t in terms]
+    assert shuffled == ps
+    for compile_ in (compile_map, compile_field):
+        assert [a.tobytes() for a in csr_arrays(compile_(shuffled))] == [
+            a.tobytes() for a in csr_arrays(compile_(ps))
+        ]
+    assert _hex(p.evaluate(point) for p in shuffled) == _hex(p.evaluate(point) for p in ps)
+
+
 def test_compiled_map_checks_its_buffers(compiled_ext):
     cf = superlinearize(five_state()).compiled_expansions
     arrays = csr_arrays(cf)

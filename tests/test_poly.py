@@ -341,10 +341,12 @@ def test_evaluate_matches_exact_rational(terms, point):
 
 
 def _evaluate_by_unit_multiplies(p, point):
-    """Reference: ``float(coeff)``, then one multiply per unit of exponent."""
+    """Reference: ``float(coeff)``, then one multiply per unit of exponent,
+    summed from the highest total degree down, ties from the largest
+    exponent tuple down (graded-lex descending)."""
     total = 0.0
-    for mono, coeff in p.terms.items():
-        value = float(coeff)
+    for mono in sorted(p.terms, key=lambda m: (sum(m), m), reverse=True):
+        value = float(p.terms[mono])
         for x, e in zip(point, mono):
             for _ in range(e):
                 value *= x
