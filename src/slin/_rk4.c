@@ -14,6 +14,20 @@
  * multiplications and additions in the same order as numeric._eval_into,
  * so results stay bit for bit those of the pure twin.
  *
+ * A field whose every term multiplies at most one state value is affine,
+ * y' = A y + b, and one RK4 step of it is the affine map y + (R(hA) - I) y
+ * + c, R being RK4's stability polynomial. rk4_kernel builds that map once
+ * per call from its own stage arithmetic (rk4_increment over a slot stream,
+ * in which a constant term reads a slot fixed at 1.0, from each unit
+ * vector), stores it in CSR form with ascending columns and exact zeros
+ * left out, and then takes one sparse product per step, followed by the
+ * same compensated update, finiteness check and row write as the stage
+ * loop. The map is the RK4 step up to roundoff, so an affine field's last
+ * bits differ from those of its four stages. A non-finite map entry makes
+ * its row of the first step inf or nan, whatever the start state, so such a
+ * field diverges at step 0. Every other field is stepped by its four
+ * stages, as before.
+ *
  * The module also evaluates a compiled polynomial map once (eval_into, the
  * start state of a lift), takes the projection error between two flat
  * trajectories (projection_error) and formats the rows of a flat trajectory
@@ -160,6 +174,162 @@ build_stream(term_stream *s, Py_ssize_t dim, const Py_buffer *views,
     return 0;
 }
 
+/* inc[i] = (step/6)(k1 + 2 k2 + 2 k3 + k4)[i] for i < dim: RK4's increment
+ * from the state y, with the stages evaluated over the stream s. y[dim], the
+ * slot that the constant terms of a slot stream read, carries through the
+ * stages unchanged. w is workspace for 5 dim + 1 doubles. */
+static void
+rk4_increment(const term_stream *s, double step, const double *y, double *w,
+              double *inc)
+{
+    Py_ssize_t dim = s->dim;
+    double *k1 = w, *k2 = w + dim, *k3 = w + 2 * dim, *k4 = w + 3 * dim;
+    double *ytmp = w + 4 * dim;
+    double half = 0.5 * step, sixth = step / 6.0;
+
+    ytmp[dim] = y[dim];
+    eval_into(s, y, k1);
+    for (Py_ssize_t i = 0; i < dim; i++)
+        ytmp[i] = y[i] + half * k1[i];
+    eval_into(s, ytmp, k2);
+    for (Py_ssize_t i = 0; i < dim; i++)
+        ytmp[i] = y[i] + half * k2[i];
+    eval_into(s, ytmp, k3);
+    for (Py_ssize_t i = 0; i < dim; i++)
+        ytmp[i] = y[i] + step * k3[i];
+    eval_into(s, ytmp, k4);
+    for (Py_ssize_t i = 0; i < dim; i++)
+        inc[i] = sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+}
+
+/* RK4's step map of an affine field: inc = M (y, 1), with row i owning the
+ * entries row_ptr[i]:row_ptr[i+1] by ascending column; column dim reads the
+ * slot fixed at 1.0. One block of memory, which row_ptr owns. */
+typedef struct {
+    Py_ssize_t *row_ptr;
+    int *col;
+    double *val;
+} step_map;
+
+/* Whether the stream of a field is affine, every term multiplying at most
+ * one state value. The column indices of its step map are ints. */
+static int
+is_affine(const term_stream *s)
+{
+    if (s->dim >= INT_MAX)
+        return 0;
+    for (int t = 0; t < s->comp_ptr[s->dim]; t++)
+        if (s->count[t] > 1)
+            return 0;
+    return 1;
+}
+
+/* The step map of an affine stream. Column j is rk4_increment from the unit
+ * vector e_j of dim + 1 values, taken over the slot stream: every term reads
+ * one value, a constant term the slot. So column dim is the increment from
+ * the zero state, and exact zeros are left out. */
+static int
+build_step_map(const term_stream *s, double step, step_map *map)
+{
+    Py_ssize_t dim = s->dim, n_terms = s->comp_ptr[dim];
+    Py_ssize_t nnz = 0, cap = 4 * (dim + 1);
+    int *slot_count = PyMem_New(int, 2 * n_terms + 1);
+    double *work = PyMem_New(double, 7 * dim + 2);
+    Py_ssize_t *col_ptr = PyMem_New(Py_ssize_t, dim + 2);
+    int *rows = PyMem_New(int, cap);
+    double *vals = PyMem_New(double, cap);
+    int ok = -1;
+
+    map->row_ptr = NULL;
+    if (slot_count == NULL || work == NULL || col_ptr == NULL || rows == NULL
+        || vals == NULL)
+        goto done;
+    term_stream slot = {dim, s->comp_ptr, s->coeff, slot_count,
+                        slot_count + n_terms};
+    const int *m = s->mults;
+    for (Py_ssize_t t = 0; t < n_terms; t++) {
+        slot.count[t] = 1;
+        slot.mults[t] = s->count[t] ? *m++ : (int)dim;
+    }
+    double *z = work, *inc = work + dim + 1, *w = work + 2 * dim + 1;
+    for (Py_ssize_t i = 0; i <= dim; i++)
+        z[i] = 0.0;
+    /* The columns as they come, CSC: column j owns col_ptr[j]:col_ptr[j+1]. */
+    col_ptr[0] = 0;
+    for (Py_ssize_t j = 0; j <= dim; j++) {
+        z[j] = 1.0;
+        rk4_increment(&slot, step, z, w, inc);
+        z[j] = 0.0;
+        if (cap - nnz < dim) {
+            cap = 2 * cap + dim;
+            int *more_rows = PyMem_Resize(rows, int, cap);
+            if (more_rows == NULL)
+                goto done;
+            rows = more_rows;
+            double *more_vals = PyMem_Resize(vals, double, cap);
+            if (more_vals == NULL)
+                goto done;
+            vals = more_vals;
+        }
+        for (Py_ssize_t i = 0; i < dim; i++)
+            if (inc[i] != 0.0) {
+                rows[nnz] = (int)i;
+                vals[nnz++] = inc[i];
+            }
+        col_ptr[j + 1] = nnz;
+    }
+    /* Transposed to CSR, each row's columns in ascending order. */
+    map->row_ptr = PyMem_Malloc((dim + 1) * sizeof(Py_ssize_t)
+                                + nnz * (sizeof(double) + sizeof(int)));
+    if (map->row_ptr == NULL)
+        goto done;
+    map->val = (double *)(map->row_ptr + dim + 1);
+    map->col = (int *)(map->val + nnz);
+    for (Py_ssize_t i = 0; i <= dim; i++)
+        map->row_ptr[i] = 0;
+    for (Py_ssize_t k = 0; k < nnz; k++)
+        map->row_ptr[rows[k] + 1]++;
+    for (Py_ssize_t i = 0; i < dim; i++)
+        map->row_ptr[i + 1] += map->row_ptr[i];
+    /* row_ptr[i] serves as row i's cursor while the columns are read in
+       ascending order, and ends at the start of row i + 1. */
+    for (Py_ssize_t j = 0; j <= dim; j++)
+        for (Py_ssize_t k = col_ptr[j]; k < col_ptr[j + 1]; k++) {
+            Py_ssize_t pos = map->row_ptr[rows[k]]++;
+            map->col[pos] = (int)j;
+            map->val[pos] = vals[k];
+        }
+    for (Py_ssize_t i = dim; i > 0; i--)
+        map->row_ptr[i] = map->row_ptr[i - 1];
+    map->row_ptr[0] = 0;
+    ok = 0;
+done:
+    if (ok < 0 && !PyErr_Occurred())
+        PyErr_NoMemory();
+    PyMem_Free(slot_count);
+    PyMem_Free(work);
+    PyMem_Free(col_ptr);
+    PyMem_Free(rows);
+    PyMem_Free(vals);
+    return ok;
+}
+
+/* inc = M (y, 1); y[dim] holds the slot 1.0. */
+static void
+apply_step_map(const step_map *map, Py_ssize_t dim, const double *restrict y,
+               double *restrict inc)
+{
+    const Py_ssize_t *restrict row_ptr = map->row_ptr;
+    const int *restrict col = map->col;
+    const double *restrict val = map->val;
+    for (Py_ssize_t i = 0; i < dim; i++) {
+        double acc = 0.0;
+        for (Py_ssize_t k = row_ptr[i]; k < row_ptr[i + 1]; k++)
+            acc += val[k] * y[col[k]];
+        inc[i] = acc;
+    }
+}
+
 static PyObject *
 rk4_kernel(PyObject *self, PyObject *args)
 {
@@ -171,6 +341,7 @@ rk4_kernel(PyObject *self, PyObject *args)
     double step, *buf = NULL;
     Py_ssize_t n_steps, n_mults, completed, held = 0;
     term_stream stream = {0};
+    step_map map = {0};
     PyObject *result = NULL;
 
     (void)self;
@@ -196,40 +367,34 @@ rk4_kernel(PyObject *self, PyObject *args)
     }
     if (check_layout(dim, dim, &views[0], &views[1], &views[2], &views[3],
                      &views[4], &n_mults) < 0
-        || build_stream(&stream, dim, views, n_mults) < 0)
+        || build_stream(&stream, dim, views, n_mults) < 0
+        || (is_affine(&stream) && build_step_map(&stream, step, &map) < 0))
         goto done;
-    buf = PyMem_New(double, 7 * dim);
+    buf = PyMem_New(double, 8 * dim + 2);
     if (buf == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     const double *y0 = views[5].buf;
     double *out = views[6].buf;
-    double *y = buf, *k1 = buf + dim, *k2 = buf + 2 * dim, *k3 = buf + 3 * dim;
-    double *k4 = buf + 4 * dim, *ytmp = buf + 5 * dim, *lost = buf + 6 * dim;
-    double half = 0.5 * step, sixth = step / 6.0;
+    double *y = buf, *lost = buf + dim + 1, *inc = buf + 2 * dim + 1;
+    double *w = buf + 3 * dim + 1;
 
     for (Py_ssize_t i = 0; i < dim; i++) {
         y[i] = y0[i];
         lost[i] = 0.0;
         out[i] = y[i];
     }
+    y[dim] = 1.0; /* the slot of the step map */
     for (completed = 0; completed < n_steps; completed++) {
-        eval_into(&stream, y, k1);
-        for (Py_ssize_t i = 0; i < dim; i++)
-            ytmp[i] = y[i] + half * k1[i];
-        eval_into(&stream, ytmp, k2);
-        for (Py_ssize_t i = 0; i < dim; i++)
-            ytmp[i] = y[i] + half * k2[i];
-        eval_into(&stream, ytmp, k3);
-        for (Py_ssize_t i = 0; i < dim; i++)
-            ytmp[i] = y[i] + step * k3[i];
-        eval_into(&stream, ytmp, k4);
+        if (map.row_ptr != NULL)
+            apply_step_map(&map, dim, y, inc);
+        else
+            rk4_increment(&stream, step, y, w, inc);
         int ok = 1;
         for (Py_ssize_t i = 0; i < dim; i++) {
             /* Kahan-compensated accumulation, matching the Python twin. */
-            double delta = sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                           + lost[i];
+            double delta = inc[i] + lost[i];
             double t = y[i] + delta;
             lost[i] = delta - (t - y[i]);
             y[i] = t;
@@ -245,6 +410,7 @@ rk4_kernel(PyObject *self, PyObject *args)
     result = PyLong_FromSsize_t(completed);
 done:
     PyMem_Free(buf);
+    PyMem_Free(map.row_ptr);
     PyMem_Free(stream.count);
     while (held > 0)
         PyBuffer_Release(&views[--held]);
@@ -575,7 +741,8 @@ done:
 static PyMethodDef methods[] = {
     {"rk4_kernel", rk4_kernel, METH_VARARGS,
      "rk4_kernel(comp_ptr, coeff, term_ptr, fvar, fexp, y, step, n_steps, out)"
-     "\n--\n\nRK4 stepping over a compiled field; see "
+     "\n--\n\nRK4 stepping over a compiled field, an affine one by its step "
+     "map; see "
      "slin.numeric.rk4_kernel_python for the contract."},
     {"eval_into", py_eval_into, METH_VARARGS,
      "eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, y, res)\n--\n\n"

@@ -30,6 +30,14 @@ index; each component sums its terms in a register. The pure twin
 Both multiply and add the same values in the same order, so their results
 are the same bits.
 
+An affine field, every term of total degree at most 1 (a lift's
+``A z + D``, or a linear system), is stepped by RK4's step map
+``y -> y + (R(hA) - I) y + c`` instead of its four stages: both kernels
+build the map once per call from their own stage arithmetic and take one
+sparse product per step (`rk4_kernel_python`). It is the same RK4 step up to
+roundoff, so an affine field's trajectory differs from its staged one in
+the last bits, the same on either backend; a nonlinear field's is unchanged.
+
 The CSV text of a trajectory's rows has a pair of its own (`FORMAT_ROWS`,
 pure twin `format_rows_python`, used by `verify.write_trajectory_csv`):
 both read the flat buffer the kernel wrote, `dim` doubles per sample, and
@@ -51,6 +59,7 @@ import operator
 import os
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, Tuple
 
 from .poly import Polynomial, grlex_key
@@ -141,6 +150,73 @@ def _evaluate(comp_ptr, coeff, term_ptr, fvar, fexp, y, res):
         res[c] = acc
 
 
+def _increment(field, y, step, inc):
+    """Write RK4's increment ``(step/6)(k1 + 2 k2 + 2 k3 + k4)`` from the
+    state `y` into `inc`, `field(point, res)` writing the field at a point.
+
+    ``y[len(inc)]``, the slot that the constant terms of a slot layout read
+    (`_slot_layout`), carries through the stages unchanged.
+    """
+    dim = len(inc)
+    half = 0.5 * step
+    sixth = step / 6.0
+    slot = y[dim:]
+    k1 = [0.0] * dim
+    k2 = [0.0] * dim
+    k3 = [0.0] * dim
+    k4 = [0.0] * dim
+    field(y, k1)
+    field([y[i] + half * k1[i] for i in range(dim)] + slot, k2)
+    field([y[i] + half * k2[i] for i in range(dim)] + slot, k3)
+    field([y[i] + step * k3[i] for i in range(dim)] + slot, k4)
+    for i in range(dim):
+        inc[i] = sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+
+
+def _slot_layout(term_ptr, fvar, fexp, dim):
+    """An affine field's terms as one factor each, a constant term reading the
+    slot at index `dim`: ``(term_ptr, fvar, fexp)`` to evaluate with the
+    field's own comp_ptr and coeff. None unless every term multiplies at most
+    one state value (and `dim` fits the C kernel's int column indices)."""
+    if dim >= 2**31 - 1:
+        return None
+    src = array("i")
+    for t in range(len(term_ptr) - 1):
+        factors = range(term_ptr[t], term_ptr[t + 1])
+        degree = sum(fexp[f] for f in factors)
+        if degree > 1:
+            return None
+        src.append(next(fvar[f] for f in factors if fexp[f]) if degree else dim)
+    return array("i", range(len(src) + 1)), src, array("i", [1]) * len(src)
+
+
+def _step_map(field, dim, step):
+    """RK4's step map of an affine field, `field` evaluating its slot layout:
+    row i as ``(column, value)`` pairs by ascending column, with column `dim`
+    reading the slot fixed at 1.0. Column j is `_increment` from the unit
+    vector e_j of ``dim + 1`` values; exact zeros are left out."""
+    rows = [[] for _ in range(dim)]
+    z = [0.0] * (dim + 1)
+    inc = [0.0] * dim
+    for j in range(dim + 1):
+        z[j] = 1.0
+        _increment(field, z, step, inc)
+        z[j] = 0.0
+        for i in range(dim):
+            if inc[i] != 0.0:
+                rows[i].append((j, inc[i]))
+    return rows
+
+
+def _apply_step_map(rows, y, inc):
+    """``inc = M (y, 1)``; ``y[len(inc)]`` holds the slot 1.0."""
+    for i, row in enumerate(rows):
+        acc = 0.0
+        for j, v in row:
+            acc += v * y[j]
+        inc[i] = acc
+
+
 def rk4_kernel_python(
     comp_ptr, coeff, term_ptr, fvar, fexp, y, step, n_steps, out
 ) -> int:
@@ -150,35 +226,37 @@ def rk4_kernel_python(
     (n_steps + 1) * dim doubles. Returns the number of completed steps with a
     finite state; fewer than n_steps means divergence. A negative exponent
     is a ValueError.
+
+    A field whose every term has total degree at most 1 is affine,
+    ``y' = A y + b``, and on it one RK4 step is the affine map
+    ``y + (R(hA) - I) y + c``, R being RK4's stability polynomial. Such a
+    field is stepped by that map (`_step_map`), built once per call from the
+    stages themselves and applied as one sparse product per step. It is the
+    same step up to roundoff, so its last bits differ from the stages'. A
+    map entry that overflows makes its row of the first step non-finite, so
+    such a field diverges at step 0 whatever its start state. Every other
+    field is stepped by its four stages (`_increment`).
     """
     _check_exponents(fexp)
     dim = len(y)
-    y = list(y)
+    y = list(y) + [1.0]  # the slot a step map's last column reads
     lost = [0.0] * dim  # Kahan compensation per component
-    k1 = [0.0] * dim
-    k2 = [0.0] * dim
-    k3 = [0.0] * dim
-    k4 = [0.0] * dim
-    ytmp = [0.0] * dim
-    half = 0.5 * step
-    sixth = step / 6.0
-    out[0:dim] = array("d", y)
+    inc = [0.0] * dim
+    field = partial(_evaluate, comp_ptr, coeff, term_ptr, fvar, fexp)
+    slots = _slot_layout(term_ptr, fvar, fexp, dim)
+    if slots is not None:
+        rows = _step_map(partial(_evaluate, comp_ptr, coeff, *slots), dim, step)
+    out[0:dim] = array("d", y[:dim])
     for s in range(n_steps):
-        _evaluate(comp_ptr, coeff, term_ptr, fvar, fexp, y, k1)
-        for i in range(dim):
-            ytmp[i] = y[i] + half * k1[i]
-        _evaluate(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k2)
-        for i in range(dim):
-            ytmp[i] = y[i] + half * k2[i]
-        _evaluate(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k3)
-        for i in range(dim):
-            ytmp[i] = y[i] + step * k3[i]
-        _evaluate(comp_ptr, coeff, term_ptr, fvar, fexp, ytmp, k4)
+        if slots is None:
+            _increment(field, y, step, inc)
+        else:
+            _apply_step_map(rows, y, inc)
         ok = True
         for i in range(dim):
             # Compensated accumulation keeps the roundoff floor of long
             # integrations below the truncation error's 4th-order decay.
-            delta = sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) + lost[i]
+            delta = inc[i] + lost[i]
             t = y[i] + delta
             lost[i] = delta - (t - y[i])
             y[i] = t
@@ -187,7 +265,7 @@ def rk4_kernel_python(
         if not ok:
             return s
         base = (s + 1) * dim
-        out[base : base + dim] = array("d", y)
+        out[base : base + dim] = array("d", y[:dim])
     return n_steps
 
 

@@ -6,9 +6,11 @@ corresponding affine row, as an exact polynomial identity. That is the
 differential form of the projection identity between the two flows, and it
 implies agreement for all time.
 
-The numeric check is advisory: it integrates both systems with the same
-fixed-step RK4 grid (identical settings, so integration error is the only
-residual) and reports the worst projection error over the samples. Nothing
+The numeric check is advisory: it integrates both systems with fixed-step
+RK4 on the same grid and reports the worst projection error over the
+samples. The original system is stepped by RK4's four stages and the lift,
+being affine, by RK4's step map (see `numeric`), the same method up to
+roundoff, so integration error plus roundoff is the only residual. Nothing
 symbolic is rebuilt per call: the system and the lift each keep their
 compiled field (`numeric.compile_field` of its right-hand side) and the
 lift its compiled expansions, from which the start state ``(x0, p(x0))`` is
@@ -40,13 +42,19 @@ from .sysparse import PolySystem
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled RK4 solution as the kernel wrote it: sample k is at
-    t = k * step, its state the `dim` doubles flat[k * dim : (k + 1) * dim]."""
+    t = k * step, its state the `dim` doubles flat[k * dim : (k + 1) * dim].
+
+    `flat` must be an ``array('d')``, the buffer both backends' row
+    formatters read (TypeError otherwise).
+    """
 
     step: float
     dim: int
     flat: array
 
     def __post_init__(self):
+        if not (isinstance(self.flat, array) and self.flat.typecode == "d"):
+            raise TypeError("flat must be an array of typecode 'd'")
         if self.dim < 1 or len(self.flat) % self.dim:
             raise ValueError("flat must hold whole samples of dim >= 1 doubles")
 

@@ -283,6 +283,36 @@ def random_compiled_map(rng, n_out: int, n_in: int, spike: bool = False):
     if spike and n_out:
         factor = (rng.randrange(n_in), rng.randint(24, 60))
         terms[rng.randrange(n_out)].insert(0, (rng.uniform(-1e-3, 1e-3), [factor]))
+    return terms_to_compiled(terms)
+
+
+def random_affine_terms(rng, dim: int, scale: float = 2.0):
+    """The terms of a random affine field of `dim` components, for
+    `terms_to_compiled`: every term has total degree at most 1.
+
+    A component is empty, constant only, or up to four terms over random
+    variables, a factor of exponent 0 now and then; coefficients are uniform
+    in [-scale, scale].
+    """
+    terms = []
+    for _ in range(dim):
+        kind = rng.choice(("empty", "constant", "mixed", "mixed"))
+        row = []
+        if kind == "constant":
+            row.append((rng.uniform(-scale, scale), []))
+        elif kind == "mixed":
+            for _ in range(rng.randint(1, 4)):
+                factors = [(rng.randrange(dim), 0)] if rng.random() < 0.2 else []
+                if rng.random() < 0.8:
+                    factors.append((rng.randrange(dim), 1))
+                row.append((rng.uniform(-scale, scale), factors))
+        terms.append(row)
+    return terms
+
+
+def terms_to_compiled(terms):
+    """The `CompiledField` whose component c has the terms ``terms[c]``, each
+    ``(coefficient, [(variable, exponent), ...])``, in that order."""
     comp_ptr, coeff, term_ptr, fvar, fexp = [0], [], [0], [], []
     for component in terms:
         for value, factors in component:
@@ -293,7 +323,7 @@ def random_compiled_map(rng, n_out: int, n_in: int, spike: bool = False):
             term_ptr.append(len(fvar))
         comp_ptr.append(len(coeff))
     return CompiledField(
-        n_out, array("i", comp_ptr), array("d", coeff), array("i", term_ptr),
+        len(terms), array("i", comp_ptr), array("d", coeff), array("i", term_ptr),
         array("i", fvar), array("i", fexp),
     )
 

@@ -4,10 +4,14 @@
 
 The compiled RK4 kernel and map evaluation must equal `rk4_kernel_python`
 and `_eval_into` bit for bit on random maps (`helpers.random_compiled_map`)
-and on the lifts of fivestate and cascade(5,2); the CSV row formatter must
-equal `format_rows_python` byte for byte on `helpers.edge_floats` and on
-random bit patterns, and the projection error `projection_error_python` on
-random flat trajectories. Every map of `helpers.BAD_LAYOUTS` and every bad
+and on the lifts of fivestate, cascade(5,2) and cascade(4,3); the CSV row
+formatter must equal `format_rows_python` byte for byte on
+`helpers.edge_floats` and on random bit patterns, and the projection error
+`projection_error_python` on random flat trajectories. Lifts are affine
+fields, which the kernel steps by their RK4 step map; so are random affine
+fields, one of dimension 1, an all-zero field, a constants-only field and a
+field whose map overflows, on which the kernel must equal its twin too.
+Every map of `helpers.BAD_LAYOUTS` and every bad
 argument of the formatter and the projection error (a dimension below 1, a
 length that is not a whole number of samples) must be a ValueError, a
 buffer of another typecode a TypeError, and `helpers.HUGE_STREAM`, whose
@@ -42,8 +46,10 @@ from helpers import (
     csr_arrays,
     edge_floats,
     five_state,
+    random_affine_terms,
     random_compiled_map,
     random_doubles,
+    terms_to_compiled,
 )
 
 
@@ -134,7 +140,18 @@ def main(path, limit_memory):
         same_flow(ext, square, [rng.uniform(-1, 1) for _ in range(n_in)], 1e-2, 50)
         some = random_compiled_map(rng, rng.randint(0, 6), n_in, spike)
         same_values(ext, some, [rng.uniform(-1.5, 1.5) for _ in range(n_in)])
-    for system in (five_state(), cascade(5, 2)):
+    for k in range(100):
+        dim = rng.randint(1, 6)
+        affine = terms_to_compiled(random_affine_terms(rng, dim, 1e8 if k % 5 == 0 else 2.0))
+        same_flow(ext, affine, [rng.uniform(-1, 1) for _ in range(dim)], 1e-2, 50)
+    for terms, y0 in [
+        ([[(-0.5, [(0, 1)]), (0.25, [])]], [1.0]),                 # dimension 1
+        ([[], [], []], [0.5, -1.0, 2.0]),                          # all zero
+        ([[(2.0, [])], [], [(-0.5, [(1, 0)])]], [0.0, 1.0, 3.0]),  # constants only
+        ([[(1e200, [(0, 1)])], [(1.0, [(1, 1)])]], [1.0, 1.0]),    # the map overflows
+    ]:
+        same_flow(ext, terms_to_compiled(terms), y0, 1e-3, 20)
+    for system in (five_state(), cascade(5, 2), cascade(4, 3)):
         sl = superlinearize(system)
         x0 = [0.9 - 0.3 * i for i in range(system.dim)]
         same_values(ext, sl.compiled_expansions, x0)

@@ -185,6 +185,19 @@ def test_a_trajectory_holds_whole_samples():
             Trajectory(0.5, dim, array("d", flat))
 
 
+@pytest.mark.parametrize(
+    "flat",
+    [[0.0, 1.0, 0.5, 2.0], (0.0, 1.0, 0.5, 2.0), array("f", [0.0, 1.0, 0.5, 2.0]),
+     array("q", [0, 1, 0, 2])],
+    ids=["list", "tuple", "array-f", "array-q"],
+)
+def test_a_trajectory_holds_an_array_of_doubles(flat):
+    # The rows of any other buffer would be formatted by the pure twin and
+    # rejected by the C formatter; both backends now refuse it up front.
+    with pytest.raises(TypeError, match="typecode 'd'"):
+        Trajectory(0.5, 2, flat)
+
+
 def test_simulate_states_equal_per_sample_slices():
     s = five_state()
     x0 = [0.1, 0.2, 0.3, 0.4, 0.5]
