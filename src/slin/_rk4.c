@@ -19,21 +19,31 @@
  * + c, R being RK4's stability polynomial. rk4_kernel builds that map once
  * per call from its own stage arithmetic (rk4_increment over a slot stream,
  * in which a constant term reads a slot fixed at 1.0, from each unit
- * vector), stores it in CSR form with ascending columns and exact zeros
- * left out, and then takes one sparse product per step, followed by the
- * same compensated update, finiteness check and row write as the stage
- * loop. The map is the RK4 step up to roundoff, so an affine field's last
- * bits differ from those of its four stages. A non-finite map entry makes
- * its row of the first step inf or nan, whatever the start state, so such a
- * field diverges at step 0. Every other field is stepped by its four
- * stages, as before.
+ * vector), with exact zeros left out, and then takes one sparse product per
+ * step, followed by the same compensated update, finiteness check and row
+ * write as the stage loop. The product sums the map's rows in slices of
+ * four rows of like length, one register each (step_map): each row is
+ * still summed from 0.0 by ascending column, so the bits are those of the
+ * twin's row by row loop, while the inner loop's trip count stays the same
+ * for four rows and their sums run side by side: a loop over one row at a
+ * time, rows of 0 to 22 entries, ran up to 40% slower depending only on
+ * where the linker placed it. The map is the RK4 step up to roundoff, so
+ * an affine field's last bits differ from those of its four stages. A
+ * non-finite map entry makes its row of the first step inf or nan, whatever
+ * the start state, so such a field diverges at step 0. Every other field is
+ * stepped by its four stages, as before.
+ *
+ * Each sample's first `keep` coordinates are written to `out` (all of them
+ * by default); every coordinate is checked for finiteness, stored or not,
+ * so a run diverges at the same step whatever it keeps.
  *
  * The module also evaluates a compiled polynomial map once (eval_into, the
  * start state of a lift), takes the projection error between two flat
  * trajectories (projection_error) and formats the rows of a flat trajectory
  * as CSV text (format_rows), each mirroring its pure twin in slin.numeric:
  * the formatter reads the doubles the kernel wrote, dim per sample, and
- * renders t = k * step and every state value byte for byte as repr does.
+ * renders t = k * step and every state value byte for byte as repr does,
+ * writing shortest digits (format_shortest) straight into an ASCII string.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -202,13 +212,20 @@ rk4_increment(const term_stream *s, double step, const double *y, double *w,
         inc[i] = sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
 }
 
-/* RK4's step map of an affine field: inc = M (y, 1), with row i owning the
- * entries row_ptr[i]:row_ptr[i+1] by ascending column; column dim reads the
- * slot fixed at 1.0. One block of memory, which row_ptr owns. */
+/* RK4's step map of an affine field: inc = M (y, 1), column dim reading the
+ * slot fixed at 1.0. Its rows are ordered by length, longest first and ties
+ * by row index (position r holds row row[r]), and cut into slices of four
+ * positions. Slice s is as long as its first row, len[s] entries, and
+ * stores entry k of its four rows side by side, each row's entries by
+ * ascending column. A row shorter than its slice, and a position past the
+ * last row, is padded with -0.0 times the slot, and x + -0.0 is x for every
+ * double x, so the padding changes no sum. One block of memory, which `val`
+ * owns. */
 typedef struct {
-    Py_ssize_t *row_ptr;
-    int *col;
     double *val;
+    Py_ssize_t n_slices;
+    Py_ssize_t *len;
+    int *row, *col;
 } step_map;
 
 /* Whether the stream of a field is affine, every term multiplying at most
@@ -236,13 +253,14 @@ build_step_map(const term_stream *s, double step, step_map *map)
     int *slot_count = PyMem_New(int, 2 * n_terms + 1);
     double *work = PyMem_New(double, 7 * dim + 2);
     Py_ssize_t *col_ptr = PyMem_New(Py_ssize_t, dim + 2);
+    Py_ssize_t *at = PyMem_New(Py_ssize_t, 3 * dim + 2);
     int *rows = PyMem_New(int, cap);
     double *vals = PyMem_New(double, cap);
     int ok = -1;
 
-    map->row_ptr = NULL;
-    if (slot_count == NULL || work == NULL || col_ptr == NULL || rows == NULL
-        || vals == NULL)
+    map->val = NULL;
+    if (slot_count == NULL || work == NULL || col_ptr == NULL || at == NULL
+        || rows == NULL || vals == NULL)
         goto done;
     term_stream slot = {dim, s->comp_ptr, s->coeff, slot_count,
                         slot_count + n_terms};
@@ -278,30 +296,57 @@ build_step_map(const term_stream *s, double step, step_map *map)
             }
         col_ptr[j + 1] = nnz;
     }
-    /* Transposed to CSR, each row's columns in ascending order. */
-    map->row_ptr = PyMem_Malloc((dim + 1) * sizeof(Py_ssize_t)
-                                + nnz * (sizeof(double) + sizeof(int)));
-    if (map->row_ptr == NULL)
-        goto done;
-    map->val = (double *)(map->row_ptr + dim + 1);
-    map->col = (int *)(map->val + nnz);
-    for (Py_ssize_t i = 0; i <= dim; i++)
-        map->row_ptr[i] = 0;
+
+    /* Row i's length, length[i], and the number of rows of each length
+       0..dim + 1, count[len]. */
+    Py_ssize_t *length = at, *count = at + dim, *entry = at + 2 * dim + 2;
+    for (Py_ssize_t i = 0; i < 2 * dim + 2; i++)
+        at[i] = 0;
     for (Py_ssize_t k = 0; k < nnz; k++)
-        map->row_ptr[rows[k] + 1]++;
+        length[rows[k]]++;
     for (Py_ssize_t i = 0; i < dim; i++)
-        map->row_ptr[i + 1] += map->row_ptr[i];
-    /* row_ptr[i] serves as row i's cursor while the columns are read in
-       ascending order, and ends at the start of row i + 1. */
+        count[length[i]]++;
+    /* count[len] turns into the first position of the rows of length len;
+       a slice takes four entries per entry of the row it starts with. */
+    Py_ssize_t n_slices = (dim + 3) / 4, padded = 0, r = 0;
+    for (Py_ssize_t len = dim + 1; len >= 0; len--) {
+        Py_ssize_t rows_of_len = count[len];
+        count[len] = r;
+        for (; rows_of_len > 0; rows_of_len--, r++)
+            if (r % 4 == 0)
+                padded += 4 * len;
+    }
+    map->val = PyMem_Malloc(padded * sizeof(double)
+                            + n_slices * sizeof(Py_ssize_t)
+                            + (dim + padded) * sizeof(int));
+    if (map->val == NULL)
+        goto done;
+    map->n_slices = n_slices;
+    map->len = (Py_ssize_t *)(map->val + padded);
+    map->row = (int *)(map->len + n_slices);
+    map->col = map->row + dim;
+    for (Py_ssize_t i = 0; i < dim; i++)
+        map->row[count[length[i]]++] = (int)i;
+    /* entry[i] is where row i's next entry goes: its first at its slice's
+       start plus its lane, each next one four further on. */
+    Py_ssize_t start = 0;
+    for (Py_ssize_t sl = 0; sl < n_slices; sl++) {
+        map->len[sl] = length[map->row[4 * sl]];
+        for (Py_ssize_t lane = 0; lane < 4 && 4 * sl + lane < dim; lane++)
+            entry[map->row[4 * sl + lane]] = start + lane;
+        start += 4 * map->len[sl];
+    }
+    for (Py_ssize_t k = 0; k < padded; k++) {
+        map->col[k] = (int)dim;
+        map->val[k] = -0.0;
+    }
     for (Py_ssize_t j = 0; j <= dim; j++)
         for (Py_ssize_t k = col_ptr[j]; k < col_ptr[j + 1]; k++) {
-            Py_ssize_t pos = map->row_ptr[rows[k]]++;
+            Py_ssize_t pos = entry[rows[k]];
+            entry[rows[k]] += 4;
             map->col[pos] = (int)j;
             map->val[pos] = vals[k];
         }
-    for (Py_ssize_t i = dim; i > 0; i--)
-        map->row_ptr[i] = map->row_ptr[i - 1];
-    map->row_ptr[0] = 0;
     ok = 0;
 done:
     if (ok < 0 && !PyErr_Occurred())
@@ -309,25 +354,36 @@ done:
     PyMem_Free(slot_count);
     PyMem_Free(work);
     PyMem_Free(col_ptr);
+    PyMem_Free(at);
     PyMem_Free(rows);
     PyMem_Free(vals);
     return ok;
 }
 
-/* inc = M (y, 1); y[dim] holds the slot 1.0. */
+/* inc = M (y, 1); y[dim] holds the slot 1.0. A slice sums its four rows in
+ * four registers, each from 0.0 by ascending column, into acc (room for
+ * dim + 3 doubles) at their positions. */
 static void
 apply_step_map(const step_map *map, Py_ssize_t dim, const double *restrict y,
-               double *restrict inc)
+               double *restrict acc, double *restrict inc)
 {
-    const Py_ssize_t *restrict row_ptr = map->row_ptr;
-    const int *restrict col = map->col;
-    const double *restrict val = map->val;
-    for (Py_ssize_t i = 0; i < dim; i++) {
-        double acc = 0.0;
-        for (Py_ssize_t k = row_ptr[i]; k < row_ptr[i + 1]; k++)
-            acc += val[k] * y[col[k]];
-        inc[i] = acc;
+    const double *restrict v = map->val;
+    const int *restrict c = map->col;
+    for (Py_ssize_t sl = 0; sl < map->n_slices; sl++) {
+        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+        for (Py_ssize_t k = map->len[sl]; k > 0; k--, v += 4, c += 4) {
+            a0 += v[0] * y[c[0]];
+            a1 += v[1] * y[c[1]];
+            a2 += v[2] * y[c[2]];
+            a3 += v[3] * y[c[3]];
+        }
+        acc[4 * sl] = a0;
+        acc[4 * sl + 1] = a1;
+        acc[4 * sl + 2] = a2;
+        acc[4 * sl + 3] = a3;
     }
+    for (Py_ssize_t r = 0; r < dim; r++)
+        inc[map->row[r]] = acc[r];
 }
 
 static PyObject *
@@ -336,7 +392,7 @@ rk4_kernel(PyObject *self, PyObject *args)
     static const char *names[] = {"comp_ptr", "coeff", "term_ptr", "fvar",
                                   "fexp", "y", "out"};
     static const char codes[] = "idiiidd";
-    PyObject *objs[7];
+    PyObject *objs[7], *keep_obj = Py_None;
     Py_buffer views[7];
     double step, *buf = NULL;
     Py_ssize_t n_steps, n_mults, completed, held = 0;
@@ -345,24 +401,33 @@ rk4_kernel(PyObject *self, PyObject *args)
     PyObject *result = NULL;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "OOOOOOdnO:rk4_kernel", &objs[0], &objs[1],
+    if (!PyArg_ParseTuple(args, "OOOOOOdnO|O:rk4_kernel", &objs[0], &objs[1],
                           &objs[2], &objs[3], &objs[4], &objs[5], &step,
-                          &n_steps, &objs[6]))
+                          &n_steps, &objs[6], &keep_obj))
         return NULL;
     for (; held < 7; held++)
         if (get_buffer(objs[held], codes[held], held == 6 ? PyBUF_WRITABLE : 0,
                        &views[held], names[held]) < 0)
             goto done;
 
-    Py_ssize_t dim = views[5].len / (Py_ssize_t)sizeof(double);
+    Py_ssize_t dim = views[5].len / (Py_ssize_t)sizeof(double), keep = dim;
+    /* An int out of range clips to one that fails the range check. */
+    if (keep_obj != Py_None
+        && (keep = PyNumber_AsSsize_t(keep_obj, NULL)) == -1 && PyErr_Occurred())
+        goto done;
+    if (keep < 0 || keep > dim) {
+        PyErr_Format(PyExc_ValueError, "keep must be between 0 and the "
+                     "state's %zd coordinates", dim);
+        goto done;
+    }
     if (n_steps < 0) {
         PyErr_SetString(PyExc_ValueError, "n_steps must be nonnegative");
         goto done;
     }
-    if (dim > 0 && views[6].len / (Py_ssize_t)sizeof(double) / dim <= n_steps) {
-        PyErr_Format(PyExc_ValueError, "out holds %zd doubles, %zd steps of a "
-                     "%zd-dimensional state need more", views[6].len /
-                     (Py_ssize_t)sizeof(double), n_steps, dim);
+    if (keep > 0 && views[6].len / (Py_ssize_t)sizeof(double) / keep <= n_steps) {
+        PyErr_Format(PyExc_ValueError, "out holds %zd doubles, %zd steps "
+                     "keeping %zd coordinates need more", views[6].len /
+                     (Py_ssize_t)sizeof(double), n_steps, keep);
         goto done;
     }
     if (check_layout(dim, dim, &views[0], &views[1], &views[2], &views[3],
@@ -383,12 +448,13 @@ rk4_kernel(PyObject *self, PyObject *args)
     for (Py_ssize_t i = 0; i < dim; i++) {
         y[i] = y0[i];
         lost[i] = 0.0;
-        out[i] = y[i];
     }
+    for (Py_ssize_t i = 0; i < keep; i++)
+        out[i] = y[i];
     y[dim] = 1.0; /* the slot of the step map */
     for (completed = 0; completed < n_steps; completed++) {
-        if (map.row_ptr != NULL)
-            apply_step_map(&map, dim, y, inc);
+        if (map.val != NULL)
+            apply_step_map(&map, dim, y, w, inc);
         else
             rk4_increment(&stream, step, y, w, inc);
         int ok = 1;
@@ -403,14 +469,14 @@ rk4_kernel(PyObject *self, PyObject *args)
         }
         if (!ok)
             break;
-        double *row = out + (completed + 1) * dim;
-        for (Py_ssize_t i = 0; i < dim; i++)
+        double *row = out + (completed + 1) * keep;
+        for (Py_ssize_t i = 0; i < keep; i++)
             row[i] = y[i];
     }
     result = PyLong_FromSsize_t(completed);
 done:
     PyMem_Free(buf);
-    PyMem_Free(map.row_ptr);
+    PyMem_Free(map.val);
     PyMem_Free(stream.count);
     while (held > 0)
         PyBuffer_Release(&views[--held]);
@@ -533,6 +599,40 @@ static const uint64_t POW10[20] = {
     UINT64_C(1000000000000000000), UINT64_C(10000000000000000000),
 };
 
+/* "00" "01" ... "99": the two digits of n at DIGIT_PAIRS + 2 n. */
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536"
+    "37383940414243444546474849505152535455565758596061626364656667686970717273"
+    "7475767778798081828384858687888990919293949596979899";
+
+/* The 8 digits of n < 10^8 at o, zero-padded: four pairs, each from its own
+ * quotient, so no division waits on another's. */
+static void
+put8(char *o, uint32_t n)
+{
+    uint32_t a = n / 10000, b = n % 10000;
+    memcpy(o, DIGIT_PAIRS + 2 * (a / 100), 2);
+    memcpy(o + 2, DIGIT_PAIRS + 2 * (a % 100), 2);
+    memcpy(o + 4, DIGIT_PAIRS + 2 * (b / 100), 2);
+    memcpy(o + 6, DIGIT_PAIRS + 2 * (b % 100), 2);
+}
+
+/* The nd decimal digits of q < 10^nd at o[0:nd]: 8-digit blocks from the
+ * right, then the digits left over in pairs. */
+static void
+put_digits(char *o, uint64_t q, int nd)
+{
+    char *end = o + nd;
+    for (; nd >= 8; nd -= 8, end -= 8, q /= 100000000)
+        put8(end - 8, (uint32_t)(q % 100000000));
+    for (; nd >= 2; nd -= 2, q /= 100) {
+        end -= 2;
+        memcpy(end, DIGIT_PAIRS + 2 * (q % 100), 2);
+    }
+    if (nd)
+        end[-1] = (char)('0' + q);
+}
+
 /* repr(v) for 2^-12 <= |v| < 2^54, written to `out` (room for 32 bytes);
  * returns its length, or 0 for any other double (zeros, subnormals, inf, nan
  * and magnitudes outside that window).
@@ -546,7 +646,10 @@ static const uint64_t POW10[20] = {
  * per endpoint gives the scaled endpoints' integer parts exactly, each below
  * 2^62, with the fraction bits below them telling whether they are integral.
  * The answer is the multiple of the largest power of ten 10^p that has one
- * inside the scaled interval, nearest to scaled v with ties to even.
+ * inside the scaled interval, nearest to scaled v with ties to even. p is
+ * found by dividing by the constant 10, which compiles to a multiply, and
+ * the digits are counted from their bit length and written in blocks of
+ * eight, so no division by a variable and no digit-by-digit chain remains.
  *
  * Inside this window neither the closed ends nor the narrower lower gap ever
  * changes the answer: v has fewer binary fraction digits than either end, so
@@ -578,45 +681,47 @@ format_shortest(double v, char *out)
     uint64_t l = (uint64_t)(lo >> k) - (closed && (lo & below) == 0);
     uint64_t h = (uint64_t)(hi >> k) - (!closed && (hi & below) == 0);
     /* Divide both ends by 10 while a multiple of the next power of ten still
-       lies in the interval; then the multiples q 10^p inside have
-       l < q <= h. */
-    uint64_t pow = 1;
-    int p = 0;
+       lies in the interval; then the multiples q 10^p inside have l < q <= h.
+       scaled v = mid / 2^k drops a digit with them: q is its integer part
+       over 10^p, `d` the last digit dropped and `sticky` whether anything
+       below d, fraction bits included, is nonzero. */
+    uint64_t q = (uint64_t)(mid >> k);
+    int p = 0, d = 0, sticky = (mid & below) != 0;
     while (l / 10 != h / 10) {
         l /= 10;
         h /= 10;
-        pow *= 10;
+        sticky |= d != 0;
+        d = (int)(q % 10);
+        q /= 10;
         p++;
     }
-    uint64_t scaled = (uint64_t)(mid >> k);
-    uint64_t q = scaled / pow, rem = scaled % pow, half = pow / 2;
-    if (rem > half || (rem == half && ((mid & below) != 0 || (q & 1))))
+    /* The interval is at least 30 wide, so p >= 1: round half to even. */
+    if (d > 5 || (d == 5 && (sticky || (q & 1))))
         q++;
     if (q <= l)
         q = l + 1;
     else if (q > h)
         q = h;
 
-    char digits[24];
-    int nd = 0;
-    for (uint64_t r = q; r; r /= 10)
-        nd++;
-    for (int i = nd - 1; i >= 0; i--, q /= 10)
-        digits[i] = (char)('0' + q % 10);
+    /* q >= 1 has nd decimal digits: with q below 2^width, t is about
+       width log10 2, and q has t + 1 digits unless q < 10^t. */
+    int width = 64 - __builtin_clzll(q);
+    int t = (width * 1233) >> 12;
+    int nd = t + 1 - (q < POW10[t]);
     int decpt = nd + p - s; /* v is 0.<digits> times 10^decpt */
 
-    /* Laid out as PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0). */
+    /* Laid out as PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0), the
+       digits written where they end up, or one place to the right of a
+       decimal point that then moves in front of them. */
     char *o = out;
     if (bits >> 63)
         *o++ = '-';
     if (decpt <= -4 || decpt > 16) {
         int x = decpt - 1;
-        *o++ = digits[0];
-        if (nd > 1) {
-            *o++ = '.';
-            memcpy(o, digits + 1, nd - 1);
-            o += nd - 1;
-        }
+        put_digits(o + 1, q, nd);
+        o[0] = o[1];
+        o[1] = '.';
+        o += nd > 1 ? nd + 1 : 1;
         *o++ = 'e';
         *o++ = x < 0 ? '-' : '+';
         x = x < 0 ? -x : x;
@@ -624,26 +729,25 @@ format_shortest(double v, char *out)
             *o++ = (char)('0' + x / 100);
             x %= 100;
         }
-        *o++ = (char)('0' + x / 10);
-        *o++ = (char)('0' + x % 10);
+        memcpy(o, DIGIT_PAIRS + 2 * x, 2);
+        o += 2;
     }
     else if (decpt <= 0) {
         *o++ = '0';
         *o++ = '.';
         memset(o, '0', -decpt);
         o += -decpt;
-        memcpy(o, digits, nd);
+        put_digits(o, q, nd);
         o += nd;
     }
     else if (decpt < nd) {
-        memcpy(o, digits, decpt);
-        o += decpt;
-        *o++ = '.';
-        memcpy(o, digits + decpt, nd - decpt);
-        o += nd - decpt;
+        put_digits(o + 1, q, nd);
+        memmove(o, o + 1, decpt);
+        o[decpt] = '.';
+        o += nd + 1;
     }
     else {
-        memcpy(o, digits, nd);
+        put_digits(o, q, nd);
         o += nd;
         memset(o, '0', decpt - nd);
         o += decpt - nd;
@@ -685,11 +789,10 @@ put_double(char *o, double v)
 static PyObject *
 format_rows(PyObject *self, PyObject *args)
 {
-    PyObject *obj, *result = NULL;
+    PyObject *obj, *text = NULL;
     Py_ssize_t dim, start, stop;
     double step;
     Py_buffer view;
-    char *text = NULL, *o;
 
     (void)self;
     if (!PyArg_ParseTuple(args, "Ondnn:format_rows", &obj, &dim, &step, &start,
@@ -715,34 +818,37 @@ format_rows(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    text = o = PyMem_Malloc(rows * (dim + 1) * 33);
-    if (text == NULL) {
-        PyErr_NoMemory();
+    /* The text is ASCII: written into the string itself, which then shrinks
+       to the length written. */
+    text = PyUnicode_New(rows * (dim + 1) * 33, 127);
+    if (text == NULL)
         goto done;
-    }
+    char *first = (char *)PyUnicode_1BYTE_DATA(text), *o = first;
     for (Py_ssize_t k = start; k < start + rows; k++) {
         /* t = k * step, as Python multiplies an int by a float. */
         if ((o = put_double(o, (double)k * step)) == NULL)
-            goto done;
+            goto fail;
         for (const double *v = flat + k * dim; v < flat + (k + 1) * dim; v++) {
             *o++ = ',';
             if ((o = put_double(o, *v)) == NULL)
-                goto done;
+                goto fail;
         }
         *o++ = '\n';
     }
-    result = PyUnicode_DecodeUTF8(text, o - text, NULL);
+    if (PyUnicode_Resize(&text, o - first) == 0)
+        goto done;
+fail:
+    Py_CLEAR(text);
 done:
-    PyMem_Free(text);
     PyBuffer_Release(&view);
-    return result;
+    return text;
 }
 
 static PyMethodDef methods[] = {
     {"rk4_kernel", rk4_kernel, METH_VARARGS,
-     "rk4_kernel(comp_ptr, coeff, term_ptr, fvar, fexp, y, step, n_steps, out)"
-     "\n--\n\nRK4 stepping over a compiled field, an affine one by its step "
-     "map; see "
+     "rk4_kernel(comp_ptr, coeff, term_ptr, fvar, fexp, y, step, n_steps, out,"
+     " keep=None)\n--\n\nRK4 stepping over a compiled field, an affine one by "
+     "its step map, storing the first keep coordinates of each sample; see "
      "slin.numeric.rk4_kernel_python for the contract."},
     {"eval_into", py_eval_into, METH_VARARGS,
      "eval_into(comp_ptr, coeff, term_ptr, fvar, fexp, y, res)\n--\n\n"

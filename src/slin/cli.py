@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
     if sl is not None:  # before anything is integrated
         _check_fits(sys_, sl)
     try:
-        traj = simulate(sys_.rhs, x0, args.t, args.step)
+        traj = simulate(sys_.compiled_field, x0, args.t, args.step)
         # The numeric check against the trajectory already integrated.
         error = None if sl is None else _projection_error(sl, traj)
     except ValueError as exc:  # bad --t, --step or --x0, or too many samples

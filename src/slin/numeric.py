@@ -34,15 +34,26 @@ An affine field, every term of total degree at most 1 (a lift's
 ``A z + D``, or a linear system), is stepped by RK4's step map
 ``y -> y + (R(hA) - I) y + c`` instead of its four stages: both kernels
 build the map once per call from their own stage arithmetic and take one
-sparse product per step (`rk4_kernel_python`). It is the same RK4 step up to
-roundoff, so an affine field's trajectory differs from its staged one in
-the last bits, the same on either backend; a nonlinear field's is unchanged.
+sparse product per step (`rk4_kernel_python`). The C side orders the map's
+rows by length and sums them four at a time, one register each, padding a
+shorter row with -0.0 times the slot, which changes no sum; the twin sums
+row by row. Each row is summed from 0.0 by ascending column on both, so the
+results are the same bits. It is the same RK4 step up to roundoff, so an
+affine field's trajectory differs from its staged one in the last bits, the
+same on either backend; a nonlinear field's is unchanged.
+
+Both kernels can store only the first `keep` coordinates of each sample
+(`integrate(..., keep=)`) while they check every coordinate for finiteness;
+`verify.verify_numeric` keeps the lift's first n, the ones it compares.
 
 The CSV text of a trajectory's rows has a pair of its own (`FORMAT_ROWS`,
 pure twin `format_rows_python`, used by `verify.write_trajectory_csv`):
 both read the flat buffer the kernel wrote, `dim` doubles per sample, and
 render every value, the sample time ``k * step`` included, byte for byte
-as ``repr`` renders it.
+as ``repr`` renders it. The C side finds each value's shortest digits
+without dividing by a variable power of ten, counts them from their bit
+length and writes them eight at a time, straight into the ASCII string it
+returns.
 
 The extension is picked at import when present with every one of these
 functions, and `BACKEND` reports the backend in use: ``"c"`` or
@@ -60,7 +71,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .poly import Polynomial, grlex_key
 
@@ -218,14 +229,18 @@ def _apply_step_map(rows, y, inc):
 
 
 def rk4_kernel_python(
-    comp_ptr, coeff, term_ptr, fvar, fexp, y, step, n_steps, out
+    comp_ptr, coeff, term_ptr, fvar, fexp, y, step, n_steps, out, keep=None
 ) -> int:
     """Pure-Python RK4 stepping; mirrors the C kernel operation for operation.
 
-    `y` is the start state (not modified), `out` has room for
-    (n_steps + 1) * dim doubles. Returns the number of completed steps with a
-    finite state; fewer than n_steps means divergence. A negative exponent
-    is a ValueError.
+    `y` is the start state (not modified). Sample k's first `keep`
+    coordinates, all ``dim = len(y)`` of them when `keep` is None, go to
+    ``out[k * keep : (k + 1) * keep]``, so `out` has room for
+    (n_steps + 1) * keep doubles. Every coordinate is checked for
+    finiteness, stored or not. Returns the number of completed steps with a
+    finite state; fewer than n_steps means divergence. A negative exponent,
+    `keep` outside 0..dim, a negative `n_steps` and an `out` too short are
+    ValueErrors.
 
     A field whose every term has total degree at most 1 is affine,
     ``y' = A y + b``, and on it one RK4 step is the affine map
@@ -237,8 +252,18 @@ def rk4_kernel_python(
     such a field diverges at step 0 whatever its start state. Every other
     field is stepped by its four stages (`_increment`).
     """
-    _check_exponents(fexp)
     dim = len(y)
+    keep = dim if keep is None else operator.index(keep)
+    if not 0 <= keep <= dim:
+        raise ValueError(f"keep must be between 0 and the state's {dim} coordinates")
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
+    if len(out) < (n_steps + 1) * keep:
+        raise ValueError(
+            f"out holds {len(out)} doubles, {n_steps} steps keeping {keep} "
+            "coordinates need more"
+        )
+    _check_exponents(fexp)
     y = list(y) + [1.0]  # the slot a step map's last column reads
     lost = [0.0] * dim  # Kahan compensation per component
     inc = [0.0] * dim
@@ -246,7 +271,7 @@ def rk4_kernel_python(
     slots = _slot_layout(term_ptr, fvar, fexp, dim)
     if slots is not None:
         rows = _step_map(partial(_evaluate, comp_ptr, coeff, *slots), dim, step)
-    out[0:dim] = array("d", y[:dim])
+    out[0:keep] = array("d", y[:keep])
     for s in range(n_steps):
         if slots is None:
             _increment(field, y, step, inc)
@@ -264,8 +289,8 @@ def rk4_kernel_python(
                 ok = False
         if not ok:
             return s
-        base = (s + 1) * dim
-        out[base : base + dim] = array("d", y[:dim])
+        base = (s + 1) * keep
+        out[base : base + keep] = array("d", y[:keep])
     return n_steps
 
 
@@ -311,24 +336,31 @@ RK4_KERNEL, FORMAT_ROWS, EVAL_INTO, PROJECTION_ERROR, BACKEND = _select_backend(
 
 
 def integrate(
-    cf: CompiledField, y0: Sequence[float], step: float, n_steps: int, kernel=None
+    cf: CompiledField,
+    y0: Sequence[float],
+    step: float,
+    n_steps: int,
+    kernel=None,
+    keep: Optional[int] = None,
 ) -> Tuple[array, int]:
     """RK4 on a compiled field with `kernel`, by default the selected backend's.
 
-    Returns the flat states, `cf.dim` doubles per sample, and the number of
-    completed steps; see `rk4_kernel_python` for the contract.
+    Returns the flat states, the first `keep` coordinates of each sample
+    (all `cf.dim` of them by default), and the number of completed steps;
+    see `rk4_kernel_python` for the contract.
     """
     if len(y0) != cf.dim:
         raise ValueError(f"state has {len(y0)} entries, field has {cf.dim}")
     kernel = kernel or RK4_KERNEL
+    keep = cf.dim if keep is None else keep
     y = array("d", [float(v) for v in y0])
-    out = array("d", [0.0]) * ((n_steps + 1) * cf.dim)
+    out = array("d", [0.0]) * ((n_steps + 1) * keep)
     completed = kernel(
-        cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp, y, step, n_steps, out
+        cf.comp_ptr, cf.coeff, cf.term_ptr, cf.fvar, cf.fexp, y, step, n_steps, out, keep
     )
     if completed == n_steps:
         return out, completed
-    return out[: (completed + 1) * cf.dim], completed
+    return out[: (completed + 1) * keep], completed
 
 
 def evaluate_compiled(cf: CompiledField, point: Sequence[float]) -> array:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import numeric
 from .errors import DimensionMismatchError, DivergenceError
@@ -144,36 +144,55 @@ def _integrate_checked(
     return _run(cf, x0, float(step), n_steps)
 
 
-def _run(cf: CompiledField, y0: Sequence[float], step: float, n_steps: int) -> Trajectory:
-    """`n_steps` RK4 steps of `step` on a compiled field from `y0`.
+def _run(
+    cf: CompiledField,
+    y0: Sequence[float],
+    step: float,
+    n_steps: int,
+    keep: Optional[int] = None,
+) -> Trajectory:
+    """`n_steps` RK4 steps of `step` on a compiled field from `y0`, keeping
+    the first `keep` coordinates of each sample (all of them by default).
 
-    Raises ValueError on a start state that is not finite or samples that
-    would not fit in memory, and DivergenceError (carrying the last finite
-    sample time) when the state leaves the finite range.
+    Raises ValueError on a start state that is not finite or on more stored
+    doubles than fit in memory, and DivergenceError (carrying the last
+    finite sample time) when the state leaves the finite range, whether the
+    coordinate that left it is kept or not.
     """
+    keep = cf.dim if keep is None else keep
     if any(not math.isfinite(v) for v in y0):
         raise ValueError("initial state must be finite")
-    if (n_steps + 1) * cf.dim > 200_000_000:
-        raise ValueError(
-            f"{n_steps} steps of a {cf.dim}-dimensional system would not fit "
-            "in memory; increase the step or shorten the horizon"
+    if (n_steps + 1) * keep > 200_000_000:
+        kept = f"a {cf.dim}-dimensional system" if keep == cf.dim else (
+            f"{cf.dim} coordinates keeping {keep} of them"
         )
-    flat, completed = integrate(cf, y0, step, n_steps)
+        raise ValueError(
+            f"{n_steps} steps of {kept} would not fit in memory; increase the "
+            "step or shorten the horizon"
+        )
+    flat, completed = integrate(cf, y0, step, n_steps, keep=keep)
     if completed < n_steps:
         raise DivergenceError(completed * step)
-    return Trajectory(step, cf.dim, flat)
+    return Trajectory(step, keep, flat)
 
 
 def simulate(
-    field: Sequence[Polynomial], x0: Sequence[float], t_end: float, step: float
+    field: Union[Sequence[Polynomial], CompiledField],
+    x0: Sequence[float],
+    t_end: float,
+    step: float,
 ) -> Trajectory:
     """Classic fixed-step RK4 sampled at t = 0, step, 2*step, ..., t_end.
 
-    Raises ValueError on bad numbers (see `_integrate_checked`) and
-    DivergenceError (carrying the last finite sample time) when the state
-    leaves the finite range.
+    `field` is the right-hand side, as polynomials or already compiled (a
+    system's ``compiled_field``, which is compiled once and kept). Raises
+    ValueError on bad numbers (see `_integrate_checked`) and DivergenceError
+    (carrying the last finite sample time) when the state leaves the finite
+    range.
     """
-    return _integrate_checked(numeric.compile_field(field), x0, t_end, step)
+    if not isinstance(field, CompiledField):
+        field = numeric.compile_field(field)
+    return _integrate_checked(field, x0, t_end, step)
 
 
 def verify_numeric(
@@ -196,13 +215,15 @@ def _projection_error(sl, traj: Trajectory) -> float:
     """`verify_numeric` given the original flow already integrated.
 
     The lift is integrated on the trajectory's own grid, ``len(traj) - 1``
-    steps of ``traj.step``, from its first sample x0 and p(x0). The caller
-    has checked that the lift fits the system.
+    steps of ``traj.step``, from its first sample x0 and p(x0), keeping
+    only its first n coordinates, the ones compared. The caller has checked
+    that the lift fits the system.
     """
-    z0 = traj.flat[: traj.dim]
+    n = traj.dim
+    z0 = traj.flat[:n]
     z0 += numeric.evaluate_compiled(sl.compiled_expansions, z0)
-    zs = _run(sl.compiled_field, z0, traj.step, len(traj) - 1)
-    return numeric.PROJECTION_ERROR(zs.flat, sl.dim, traj.flat, traj.dim)
+    zs = _run(sl.compiled_field, z0, traj.step, len(traj) - 1, keep=n)
+    return numeric.PROJECTION_ERROR(zs.flat, n, traj.flat, n)
 
 
 # Rows per `fh.write`, so that no single string holds a long trajectory's

@@ -9,9 +9,13 @@ formatter must equal `format_rows_python` byte for byte on
 `helpers.edge_floats` and on random bit patterns, and the projection error
 `projection_error_python` on random flat trajectories. Lifts are affine
 fields, which the kernel steps by their RK4 step map; so are random affine
-fields, one of dimension 1, an all-zero field, a constants-only field and a
-field whose map overflows, on which the kernel must equal its twin too.
-Every map of `helpers.BAD_LAYOUTS` and every bad
+fields, one of dimension 1, an all-zero field, a constants-only field, a
+field whose map overflows and one whose map has an empty row and a row of
+more than 16 entries, on which the kernel must equal its twin too. Runs
+that keep only the first coordinates of each sample (`keep` equal to the
+system's n on a lift, equal to dim, and 1 on a field whose other coordinate
+diverges) must equal the twin's as well. Every map of `helpers.BAD_LAYOUTS`,
+a `keep` below 0 or above dim, an `out` too short for `keep`, and every bad
 argument of the formatter and the projection error (a dimension below 1, a
 length that is not a whole number of samples) must be a ValueError, a
 buffer of another typecode a TypeError, and `helpers.HUGE_STREAM`, whose
@@ -76,10 +80,11 @@ def expect(exc_type, call):
     raise AssertionError(f"expected {exc_type.__name__}")
 
 
-def same_flow(ext, cf, y0, step, n_steps):
-    c_states, c_done = integrate(cf, y0, step, n_steps, ext.rk4_kernel)
-    py_states, py_done = integrate(cf, y0, step, n_steps, rk4_kernel_python)
+def same_flow(ext, cf, y0, step, n_steps, keep=None):
+    c_states, c_done = integrate(cf, y0, step, n_steps, ext.rk4_kernel, keep)
+    py_states, py_done = integrate(cf, y0, step, n_steps, rk4_kernel_python, keep)
     assert c_done == py_done and c_states.tobytes() == py_states.tobytes()
+    return c_done
 
 
 def same_values(ext, cf, point):
@@ -110,6 +115,14 @@ def main(path, limit_memory):
     for cf in BAD_LAYOUTS.values():
         expect(ValueError, lambda: ext.rk4_kernel(*csr_arrays(cf), one, 1e-3, 10, out))
         expect(ValueError, lambda: ext.eval_into(*csr_arrays(cf), one, res))
+    decay = terms_to_compiled([[(-1.0, [(0, 1)])], [(-1.0, [(1, 1)])]])
+    two = array("d", [0.5, 0.25])
+    for kernel in (ext.rk4_kernel, rk4_kernel_python):
+        for keep in (-1, 3):
+            expect(ValueError, lambda: kernel(*csr_arrays(decay), two, 1e-3, 10, out, keep))
+        # 10 steps keeping 1 coordinate need 11 doubles, keeping 2 need 22.
+        expect(ValueError, lambda: kernel(*csr_arrays(decay), two, 1e-3, 10, out[:10], 1))
+        expect(ValueError, lambda: kernel(*csr_arrays(decay), two, 1e-3, 10, out, 2))
     six = array("d", [0.5]) * 6
     for args in [(six, 0, 1e-3, 0, 6), (six, -1, 1e-3, 0, 6), (six, 4, 1e-3, 0, 6)]:
         expect(ValueError, lambda: ext.format_rows(*args))
@@ -151,13 +164,24 @@ def main(path, limit_memory):
         ([[(1e200, [(0, 1)])], [(1.0, [(1, 1)])]], [1.0, 1.0]),    # the map overflows
     ]:
         same_flow(ext, terms_to_compiled(terms), y0, 1e-3, 20)
+    # Row 0 of the map reads all 20 values and the slot; row 1 is empty.
+    wide = [[(0.05 * (j + 1), [(j, 1)]) for j in range(20)] + [(0.5, [])], []]
+    wide += [[(-1.0, [(i, 1)]), (0.25, [(i - 1, 1)])] for i in range(2, 20)]
+    for keep in (None, 2, 0):
+        same_flow(ext, terms_to_compiled(wide), [0.1 * i for i in range(20)], 1e-2, 50, keep)
+    # x1 = 1 / (1 - t) leaves the finite range near t = 1: a run keeping
+    # only x0 stops where the full run stops.
+    blowup = terms_to_compiled([[(-1.0, [(0, 1)])], [(1.0, [(1, 2)])]])
+    stops = {same_flow(ext, blowup, [1.0, 1.0], 1e-3, 2000, keep) for keep in (1, 2)}
+    assert len(stops) == 1 and stops.pop() < 2000
     for system in (five_state(), cascade(5, 2), cascade(4, 3)):
         sl = superlinearize(system)
         x0 = [0.9 - 0.3 * i for i in range(system.dim)]
         same_values(ext, sl.compiled_expansions, x0)
         z0 = array("d", x0) + evaluate_compiled(sl.compiled_expansions, x0)
         same_flow(ext, system.compiled_field, x0, 1e-3, 200)
-        same_flow(ext, sl.compiled_field, z0, 1e-3, 200)
+        for keep in (None, system.dim, sl.dim):
+            same_flow(ext, sl.compiled_field, z0, 1e-3, 200, keep)
     print("ok")
 
 

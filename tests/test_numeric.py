@@ -139,6 +139,44 @@ def test_compiled_kernel_checks_its_buffers(compiled_kernel):
             compiled_kernel(*csr_arrays(cf), y[:1], 1e-3, 10, out)
 
 
+@pytest.mark.parametrize("keep_of", [lambda n, dim: n, lambda n, dim: dim, lambda n, dim: 0])
+def test_a_kept_run_stores_the_first_coordinates_of_the_full_run(compiled_kernel, keep_of):
+    s = five_state()
+    sl = superlinearize(s)
+    x0 = [0.1, 0.2, 0.3, 0.4, 0.5]
+    z0 = array("d", x0) + evaluate_compiled(sl.compiled_expansions, x0)
+    full, done = integrate(sl.compiled_field, z0, 1e-3, 300, rk4_kernel_python)
+    keep = keep_of(s.dim, sl.dim)
+    columns = array("d", (v for k in range(301) for v in full[k * sl.dim : k * sl.dim + keep]))
+    for kernel in (compiled_kernel, rk4_kernel_python):
+        kept, kept_done = integrate(sl.compiled_field, z0, 1e-3, 300, kernel, keep)
+        assert kept_done == done == 300
+        assert kept.tobytes() == columns.tobytes()
+
+
+def test_a_kept_run_diverges_where_the_full_run_does(compiled_kernel):
+    # y = 1 / (1 - t) leaves the finite range; x, the kept coordinate, does not.
+    cf = compile_field(parse_system("vars: x y\nx' = -x\ny' = y^2\n").rhs)
+    full, done = integrate(cf, [1.0, 1.0], 1e-3, 2000, rk4_kernel_python)
+    assert done < 2000
+    for kernel in (compiled_kernel, rk4_kernel_python):
+        kept, kept_done = integrate(cf, [1.0, 1.0], 1e-3, 2000, kernel, 1)
+        assert kept_done == done and kept == full[::2]
+
+
+def test_either_kernel_rejects_a_keep_out_of_range_and_a_short_out(compiled_kernel):
+    cf = compile_field(five_state().rhs)
+    y = array("d", [0.1, 0.2, 0.3, 0.4, 0.5])
+    for kernel in (compiled_kernel, rk4_kernel_python):
+        for keep in (-1, 6):
+            with pytest.raises(ValueError, match="keep"):
+                kernel(*csr_arrays(cf), y, 1e-3, 10, array("d", bytes(8 * 66)), keep)
+        # 10 steps keeping 2 coordinates need 22 doubles.
+        with pytest.raises(ValueError, match="out holds 21"):
+            kernel(*csr_arrays(cf), y, 1e-3, 10, array("d", bytes(8 * 21)), 2)
+        assert kernel(*csr_arrays(cf), y, 1e-3, 10, array("d", bytes(8 * 22)), 2) == 10
+
+
 def test_integrate_rejects_wrong_state_size():
     s = five_state()
     cf = compile_field(s.rhs)

@@ -4,8 +4,10 @@
 -fno-sanitize-recover=all`` into a temporary directory, and
 `tests/kernel_smoke.py` runs it in a subprocess: random maps, affine fields
 stepped by their RK4 step map (dimension 1, all zero, constants only, one
-whose map overflows) and three lifts against the pure twins, the bad layouts
-and a term stream too large to allocate. Any sanitizer report fails the test. The subprocess preloads
+whose map overflows, one whose map has an empty row and a row of 21
+entries), runs that keep only some coordinates of each sample and three
+lifts against the pure twins, the bad layouts, bad `keep` values and a
+term stream too large to allocate. Any sanitizer report fails the test. The subprocess preloads
 libasan (the interpreter itself is not instrumented) and sets
 ``PYTHONMALLOC=malloc``, without which Python's small-object allocator would
 hide the blocks `PyMem_Malloc` hands out from AddressSanitizer.

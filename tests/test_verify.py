@@ -23,6 +23,7 @@ from slin import (
 )
 from slin import numeric
 from slin.lift import Observable, SuperLinearization
+from slin import verify
 from slin.verify import Trajectory, write_trajectory_csv
 
 from helpers import (
@@ -344,6 +345,25 @@ def test_trajectory_csv_equals_per_row_writes():
     assert buf.getvalue() == expected.getvalue()
 
 
+def test_the_memory_cap_counts_the_doubles_a_kept_run_stores(monkeypatch):
+    class Integrated(Exception):
+        pass
+
+    def integrate(*args, **kwargs):
+        raise Integrated
+
+    monkeypatch.setattr(verify, "integrate", integrate)
+    cf = superlinearize(five_state()).compiled_field  # 21 coordinates
+    z0 = [0.0] * cf.dim
+    # 40 000 000 samples of 5 doubles fill the cap of 200 000 000 exactly.
+    with pytest.raises(Integrated):
+        verify._run(cf, z0, 1e-3, 39_999_999, keep=5)
+    with pytest.raises(ValueError, match="21 coordinates keeping 5 of them"):
+        verify._run(cf, z0, 1e-3, 40_000_000, keep=5)
+    with pytest.raises(ValueError, match="21-dimensional"):
+        verify._run(cf, z0, 1e-3, 9_523_809)
+
+
 # --- compiled row formatter ------------------------------------------------------
 
 
@@ -387,6 +407,31 @@ def test_row_formatter_equals_repr_on_edge_values(compiled_ext):
 def test_row_formatter_equals_repr_on_a_million_bit_patterns(compiled_ext):
     values = random_doubles(random.Random(20261018), 1_000_000)
     _assert_rows_match_repr(compiled_ext, values, width=10)
+
+
+def _significant_digits(v):
+    mantissa = repr(v).split("e")[0].replace("-", "").replace(".", "")
+    return len(mantissa.strip("0"))
+
+
+def test_row_formatter_writes_repr_at_every_digit_count_and_power_of_ten(compiled_ext):
+    values = []
+    for k in range(-4, 17):
+        values += [10.0**k, math.nextafter(10.0**k, 0.0), math.nextafter(10.0**k, math.inf)]
+    rng = random.Random(1016)
+    for digits in (1, 8, 9, 16, 17):
+        found = 0
+        while found < 40:
+            mantissa = rng.randrange(10 ** (digits - 1), 10**digits)
+            v = float(f"{mantissa}e{rng.randint(-12 - digits, 16 - digits)}")
+            if _significant_digits(v) == digits and 2.0**-12 <= v < 2.0**54:
+                values.append(v)
+                found += 1
+    for end in (2.0**-12, 2.0**54):
+        values += [end, math.nextafter(end, 0.0), math.nextafter(end, math.inf)]
+    for v in values + [-v for v in values]:
+        text = compiled_ext.format_rows(array("d", [v]), 1, 0.0, 0, 1)
+        assert text == f"0.0,{v!r}\n"
 
 
 def test_row_formatter_streams_long_trajectories_in_chunks(compiled_ext):
