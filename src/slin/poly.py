@@ -9,6 +9,14 @@ All arithmetic is exact; doubles appear only in :meth:`Polynomial.evaluate`.
 Values are immutable after construction (nothing here mutates its inputs), so
 they are safe to share freely.
 
+Canonicalization (each coefficient made a ``Fraction``, zeros dropped, equal
+keys merged, every key checked to be a tuple of ``len(space)`` nonnegative
+ints) runs only where outside data comes in: the public ``Polynomial(space,
+terms)``, and so the parser and the lift-document loader. The operators,
+``differentiate`` and ``substitute`` already hold canonical terms, nonzero
+``Fraction`` coefficients on valid keys, and build their results through
+`_trusted`, which stores the dict as it is.
+
 The canonical term order is graded lexicographic over the ambient variable
 order: higher total degree first, ties broken by comparing exponent tuples
 left to right. Rendering, numeric evaluation, coefficient-vector indexing
@@ -60,7 +68,13 @@ class VariableSpace:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    ``Polynomial(space, terms)`` canonicalizes ``terms``, a mapping from
+    exponent tuples to ints or Fractions: it drops zero coefficients, merges
+    equal keys and raises ValueError on a key that is not ``len(space)``
+    nonnegative exponents. Results of arithmetic skip that pass (`_trusted`).
+    """
 
     __slots__ = ("space", "terms")
 
@@ -80,6 +94,16 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _trusted(cls, space: VariableSpace, terms: dict) -> "Polynomial":
+        """A polynomial holding ``terms`` as given, not canonicalized: every
+        coefficient a nonzero ``Fraction``, every key a valid exponent tuple
+        of `space`, each once. For results of arithmetic on polynomials."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "space", space)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     # --- constructors -----------------------------------------------------
 
@@ -145,12 +169,12 @@ class Polynomial:
                 out[mono] = acc
             else:
                 out.pop(mono, None)
-        return Polynomial(self.space, out)
+        return Polynomial._trusted(self.space, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.space, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.space, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -165,7 +189,9 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return Polynomial(self.space, {m: k * c for m, k in self.terms.items()})
+            if not c:
+                return Polynomial._trusted(self.space, {})
+            return Polynomial._trusted(self.space, {m: k * c for m, k in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_space(other)
@@ -178,7 +204,7 @@ class Polynomial:
                     out[mono] = acc
                 else:
                     del out[mono]
-        return Polynomial(self.space, out)
+        return Polynomial._trusted(self.space, out)
 
     __rmul__ = __mul__
 
@@ -189,7 +215,7 @@ class Polynomial:
             return Polynomial.constant(self.space, 1)
         terms, den = _int_terms(self)
         den **= exponent
-        return Polynomial(
+        return Polynomial._trusted(
             self.space, {m: Fraction(c, den) for m, c in _int_pow(terms, exponent).items()}
         )
 
@@ -209,7 +235,7 @@ class Polynomial:
             lowered = list(mono)
             lowered[var_index] = e - 1
             out[tuple(lowered)] = coeff * e
-        return Polynomial(self.space, out)
+        return Polynomial._trusted(self.space, out)
 
     def substitute(
         self,
@@ -284,7 +310,7 @@ class Polynomial:
                     out[mono] = acc
                 else:
                     out.pop(mono, None)
-        return Polynomial(target, {m: Fraction(c, common) for m, c in out.items()})
+        return Polynomial._trusted(target, {m: Fraction(c, common) for m, c in out.items()})
 
     def evaluate(self, point: Sequence[float]) -> float:
         """Numeric value at ``point``: direct sum of per-term double products.
@@ -407,7 +433,11 @@ def _int_pow(a: dict, e: int) -> dict:
 
 
 def lie_derivative(p: Polynomial, field: Sequence[Polynomial]) -> Polynomial:
-    """Derivative of ``p`` along ``field``: sum_i dp/dx_i * field_i."""
+    """Derivative of ``p`` along ``field``: sum_i dp/dx_i * field_i.
+
+    A zero component is skipped before differentiating, since its term adds
+    nothing: a stage's field leaves the rows of deeper layers empty.
+    """
     if len(field) != len(p.space):
         raise ValueError(
             f"field has {len(field)} components, space has {len(p.space)}"
@@ -416,6 +446,8 @@ def lie_derivative(p: Polynomial, field: Sequence[Polynomial]) -> Polynomial:
     for i, component in enumerate(field):
         if component.space != p.space:
             raise SpaceMismatchError("field component lives in a different space")
+        if not component.terms:
+            continue
         dp = p.differentiate(i)
         if dp.terms:
             result = result + dp * component

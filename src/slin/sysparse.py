@@ -105,10 +105,13 @@ class _ExprParser:
     """Recursive-descent parser for one right-hand-side expression.
 
     A factor that is a monomial stays a (coefficient, exponent tuple) pair
-    until its term ends or meets a factor that is not a monomial, so a term
-    builds one `Polynomial`, not one per factor. The result, dict order
-    included, is that of evaluating the expression with `Polynomial`'s
-    operators, left to right.
+    until it meets a factor that is not a monomial, so a monomial term builds
+    no `Polynomial` at all. A sum adds its terms into one dict, with the
+    get/add/pop-on-zero steps of `Polynomial.__add__`, and builds one
+    `Polynomial` at the end: the public constructor, which canonicalizes
+    what the text gave, once per sum, so parsing a sum takes time linear in
+    its terms. The result, dict order included, is that of evaluating the
+    expression with `Polynomial`'s operators, left to right.
     """
 
     def __init__(self, tokens, space: VariableSpace):
@@ -148,18 +151,19 @@ class _ExprParser:
         if self.peek().kind == "-":
             self.advance()
             negate = True
-        value = self._poly(self.term(), negate)
+        out = {}
+        _add_term(out, self.term(), negate)
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            value = value + self._poly(self.term(), op.kind == "-")
-        return value
+            _add_term(out, self.term(), op.kind == "-")
+        return Polynomial(self.space, out)
 
-    def _poly(self, value, negate: bool = False) -> Polynomial:
-        """A factor or term as a `Polynomial`, negated if asked."""
+    def _poly(self, value) -> Polynomial:
+        """A factor as a `Polynomial`."""
         if isinstance(value, tuple):
             coeff, mono = value
-            return Polynomial(self.space, {mono: -coeff if negate else coeff})
-        return -value if negate else value
+            return Polynomial(self.space, {mono: coeff})
+        return value
 
     def term(self):
         value = self.factor()
@@ -245,6 +249,23 @@ class _ExprParser:
         if tok.kind == "end":
             self.fail("expected a term", tok)
         self.fail(f"unexpected {tok.text!r}", tok)
+
+
+def _add_term(out: dict, value, negate: bool) -> None:
+    """Add a term, a (coefficient, exponent tuple) pair or a `Polynomial`,
+    negated if asked, into the term dict `out` as `Polynomial.__add__` adds:
+    a key whose sum is zero is popped."""
+    if isinstance(value, tuple):
+        coeff, mono = value
+        items = ((mono, coeff),)
+    else:
+        items = value.terms.items()
+    for mono, coeff in items:
+        acc = out.get(mono, 0) + (-coeff if negate else coeff)
+        if acc:
+            out[mono] = acc
+        else:
+            out.pop(mono, None)
 
 
 def parse_polynomial(text: str, space: VariableSpace) -> Polynomial:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import numeric
-from .errors import DimensionMismatchError, DivergenceError
+from .errors import DimensionMismatchError, DivergenceError, SpaceMismatchError
 from .numeric import CompiledField, integrate
 from .poly import Polynomial, lie_derivative
 from .sysparse import PolySystem
@@ -89,25 +89,46 @@ def verify_symbolic(sys: PolySystem, sl) -> VerifyReport:
     """Check L_f(q_i) == sum_j A_ij q_j + D_i for every lifted coordinate.
 
     q_i is coordinate i's expansion in x (the variable itself for i <= n).
-    Fails fast with the first offending row and its exact residual. A lift
-    over other variables raises DimensionMismatchError.
+    Each row's residual ``L_f(q_i) - sum_j A_ij q_j - D_i`` is formed in one
+    term dict, starting from the Lie derivative's terms and subtracting each
+    ``A_ij q_j`` and then ``D_i`` term by term, a key whose sum is zero
+    popped; a `Polynomial` is built only for a row that fails. The check
+    shares no code with the construction beyond `Polynomial` and
+    `lie_derivative`. Fails fast with the first offending row and its exact
+    residual. A lift over other variables raises DimensionMismatchError, and
+    an expansion over other variables SpaceMismatchError.
     """
     _check_fits(sys, sl)
     expansions = sl.x_expansions()
+    for name, q in zip(sl.var_names, expansions):
+        if q.space != sys.vars:
+            raise SpaceMismatchError(f"the expansion of {name} is not over {sys.vars.names}")
+    zero = (0,) * sys.dim
     for i in range(sl.dim):
-        rhs = Polynomial.constant(sys.vars, sl.D[i])
+        residual = dict(lie_derivative(expansions[i], sys.rhs).terms)
         for j, a in enumerate(sl.A[i]):
             if a:
-                rhs = rhs + expansions[j] * a
-        residual = lie_derivative(expansions[i], sys.rhs) - rhs
-        if not residual.is_zero():
+                for mono, coeff in expansions[j].terms.items():
+                    _subtract(residual, mono, a * coeff)
+        if sl.D[i]:
+            _subtract(residual, zero, sl.D[i])
+        if residual:
             return VerifyReport(
                 ok=False,
                 failed_row=i + 1,
                 failed_name=sl.var_names[i],
-                residual=residual,
+                residual=Polynomial(sys.vars, residual),
             )
     return VerifyReport(ok=True)
+
+
+def _subtract(terms: dict, mono: tuple, coeff) -> None:
+    """``terms[mono] -= coeff`` in place, popping the key if it reaches zero."""
+    acc = terms.get(mono, 0) - coeff
+    if acc:
+        terms[mono] = acc
+    else:
+        terms.pop(mono, None)
 
 
 def _check_fits(sys: PolySystem, sl) -> None:
@@ -160,7 +181,7 @@ def _run(
     coordinate that left it is kept or not.
     """
     keep = cf.dim if keep is None else keep
-    if any(not math.isfinite(v) for v in y0):
+    if not all(map(math.isfinite, y0)):
         raise ValueError("initial state must be finite")
     if (n_steps + 1) * keep > 200_000_000:
         kept = f"a {cf.dim}-dimensional system" if keep == cf.dim else (

@@ -47,6 +47,23 @@ def compiled_kernel(compiled_ext):
     return compiled_ext.rk4_kernel
 
 
+@pytest.fixture
+def canonical_constructions(monkeypatch):
+    """A list that gains one entry, the size of the terms given, per call of
+    the public, canonicalizing ``Polynomial(space, terms)`` during the test."""
+    from slin import Polynomial
+
+    calls = []
+    init = Polynomial.__init__
+
+    def counting(self, space, terms):
+        calls.append(len(terms))
+        init(self, space, terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting)
+    return calls
+
+
 _ACCEPTANCE = {}
 
 

@@ -1,11 +1,16 @@
 """Lift document serialization: exact round-trips and schema rejection."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from slin import (
+    Observable,
+    Polynomial,
     SchemaError,
+    SuperLinearization,
+    VariableSpace,
     document_to_lift,
     lift_to_document,
     load_lift,
@@ -141,3 +146,33 @@ def test_document_is_json_serializable():
     doc = lift_to_document(superlinearize(five_state()))
     text = json.dumps(doc)
     assert document_to_lift(json.loads(text)).m == 16
+
+
+def _lift_with_expansion_terms(size):
+    """A one-observable document-shaped lift (not a valid lift) whose
+    definition and expansion each hold `size` terms."""
+    terms = {(k,): Fraction(2 * k + 1, 3) for k in range(1, size + 1)}
+    expansion = Polynomial(VariableSpace(("x",)), terms)
+    definition = Polynomial(
+        VariableSpace(("x", "p1")), {(k, 0): c for (k,), c in terms.items()}
+    )
+    return SuperLinearization(
+        n=1,
+        m=1,
+        A=((0, 0), (0, 0)),
+        D=(0, 0),
+        observables=(Observable("p1", definition, expansion),),
+        var_names=("x", "p1"),
+    )
+
+
+def test_loading_canonicalizes_as_often_at_any_expansion_length(canonical_constructions):
+    # Each observable's polynomials are canonicalized once each, however
+    # many terms they hold: the document loads in time linear in its size.
+    counts = []
+    for size in (50, 500):
+        doc = lift_to_document(_lift_with_expansion_terms(size))
+        canonical_constructions.clear()
+        assert lift_to_document(document_to_lift(doc)) == doc
+        counts.append(len(canonical_constructions))
+    assert counts[0] == counts[1]

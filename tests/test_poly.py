@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from slin import NEG_INF, Polynomial, SpaceMismatchError, lie_derivative
+from slin import NEG_INF, Polynomial, SpaceMismatchError, lie_derivative, parse_polynomial
 
 from helpers import P, chained_substitute, pow_by_squaring, space, sympy_terms, to_sympy
 
@@ -461,3 +461,71 @@ def test_immutability():
     p = P("x1", XY)
     with pytest.raises(AttributeError):
         p.terms = {}
+
+
+# --- canonical form --------------------------------------------------------------
+#
+# Only the public constructor canonicalizes; arithmetic builds its results
+# from terms it trusts to be canonical already. Every such result must be a
+# fixed point of the public constructor, items and their order included.
+
+
+def test_public_constructor_canonicalizes():
+    p = Polynomial(XY, {(1, 0): 0, (0, 1): Fraction(0), (2, 0): 3, (0, 0): Fraction(1, 2)})
+    assert list(p.terms.items()) == [((2, 0), Fraction(3)), ((0, 0), Fraction(1, 2))]
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert Polynomial(XY, {(1, 0): 0}).is_zero()
+
+
+@pytest.mark.parametrize("mono", [(1,), (1, 0, 0), (1, -1)])
+def test_public_constructor_rejects_bad_exponent_tuples(mono):
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        Polynomial(XY, {mono: 1})
+
+
+def _assert_canonical(p):
+    n = len(p.space)
+    for mono, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(mono) is tuple and len(mono) == n
+        assert all(type(e) is int and e >= 0 for e in mono)
+    assert list(Polynomial(p.space, p.terms).terms.items()) == list(p.terms.items())
+
+
+# Few and small coefficients, so sums and products often cancel.
+cancelling_polys = st.dictionaries(st.sampled_from(MONOS_3), small_coeffs, max_size=5).map(
+    lambda d: Polynomial(XYZ, d)
+)
+
+
+@given(
+    cancelling_polys,
+    cancelling_polys,
+    small_coeffs,
+    st.integers(min_value=0, max_value=3),
+    st.lists(cancelling_polys, min_size=3, max_size=3),
+    images_uv(small_coeffs),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_trusted_result_is_canonical(p, q, c, k, field, images):
+    results = [
+        p + q,
+        p - q,
+        p - p,
+        p + (-p),
+        -p,
+        p * 0,
+        p * c,
+        p * q,
+        p**k,
+        p.substitute(images),
+        lie_derivative(p, field),
+        lie_derivative(p, [p - p] * 3),
+        parse_polynomial(p.render(), XYZ),
+        parse_polynomial(f"{p.render()} - ({q.render()}) + {q.render()}", XYZ),
+        parse_polynomial(f"{p.render()} - ({p.render()})", XYZ),
+    ]
+    results.extend(p.differentiate(i) for i in range(3))
+    for result in results:
+        _assert_canonical(result)
+    assert (p - p).is_zero() and (p * 0).is_zero()

@@ -240,3 +240,16 @@ def test_parse_equals_the_operators_dict_order_included(case):
     text, value = case
     assert list(parse_polynomial(text, XY).terms.items()) == list(value.terms.items())
 
+
+
+def test_parsing_a_flat_sum_canonicalizes_as_often_at_any_length(canonical_constructions):
+    # A sum is added into one dict and canonicalized once, so the number of
+    # canonicalizing constructions does not grow with the number of terms.
+    counts = []
+    for size in (50, 500):
+        p = Polynomial(XY, {(k, size - k): Fraction(2 * k + 1, 3) for k in range(size)})
+        text = p.render()
+        canonical_constructions.clear()
+        assert parse_polynomial(text, XY) == p
+        counts.append(len(canonical_constructions))
+    assert counts[0] == counts[1]

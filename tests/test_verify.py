@@ -15,6 +15,7 @@ from slin import (
     DimensionMismatchError,
     DivergenceError,
     Polynomial,
+    SpaceMismatchError,
     parse_system,
     simulate,
     superlinearize,
@@ -65,6 +66,14 @@ def test_verify_symbolic_dimension_mismatch():
     other = parse_system("vars: u v w\nu' = v\nv' = w\nw' = 0\n")
     with pytest.raises(DimensionMismatchError):
         verify_symbolic(other, _two_state_lift())
+
+
+def test_verify_symbolic_rejects_an_expansion_over_other_variables():
+    lifted = space("x y w")
+    obs = Observable("w", P("y^2", lifted), P("y^2", lifted))
+    sl = dataclasses.replace(_two_state_lift(), observables=(obs,))
+    with pytest.raises(SpaceMismatchError, match="expansion of w"):
+        verify_symbolic(two_state(), sl)
 
 
 def _sympy_residuals(system, sl):
