@@ -2,9 +2,11 @@
 
 Rationals travel as strings ("1485/2") so no value ever passes through a
 double, and a document with any other type there is a SchemaError.
-Observables carry both their stage-level definition and their x-expansion
-as canonical polynomial strings. The document round-trips exactly:
-parse(render(doc)) == doc.
+Observables carry their name and x-expansion as canonical polynomial
+strings. The document round-trips exactly: parse(render(doc)) == doc, and
+the reloaded lift equals the lift saved. A `slin-lift/1` document, which
+also carries a stage-level `definition` per observable, still loads; that
+key is never read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from .lift import Observable, SuperLinearization
 from .poly import VariableSpace
 from .sysparse import parse_polynomial
 
-SCHEMA = "slin-lift/1"
+SCHEMA = "slin-lift/2"
+READABLE = (SCHEMA, "slin-lift/1")
 
 
 def lift_to_document(sl: SuperLinearization) -> dict:
@@ -29,21 +32,15 @@ def lift_to_document(sl: SuperLinearization) -> dict:
         "A": [[str(entry) for entry in row] for row in sl.A],
         "D": [str(entry) for entry in sl.D],
         "observables": [
-            {
-                "name": obs.name,
-                # a definition lives over a prefix of the lifted coordinates,
-                # so it renders as it would over all of them
-                "definition": obs.definition.render(),
-                "expansion": obs.expansion.render(),
-            }
+            {"name": obs.name, "expansion": obs.expansion.render()}
             for obs in sl.observables
         ],
     }
 
 
 def document_to_lift(doc: dict) -> SuperLinearization:
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise SchemaError(f"expected a {SCHEMA!r} document")
+    if not isinstance(doc, dict) or doc.get("schema") not in READABLE:
+        raise SchemaError(f"expected a {SCHEMA!r} (or {READABLE[1]!r}) document")
     try:
         var_names = doc["vars"]
         lifted_names = doc["lifted_vars"]
@@ -67,8 +64,6 @@ def document_to_lift(doc: dict) -> SuperLinearization:
         raise SchemaError("lifted_vars must be the original vars plus m observables")
     if not isinstance(observables, list):
         raise SchemaError("observables must be a list")
-    if len(observables) != m:
-        raise SchemaError(f"expected {m} observables, found {len(observables)}")
     if not (
         _is_list(rows, dim)
         and all(_is_list(row, dim) for row in rows)
@@ -85,36 +80,27 @@ def document_to_lift(doc: dict) -> SuperLinearization:
         raise SchemaError(f"bad rational literal in A or D: {exc}") from exc
 
     try:
+        VariableSpace(tuple(lifted_names))  # the lifted names must be distinct
         x_space = VariableSpace(tuple(var_names))
-        lifted_space = VariableSpace(tuple(lifted_names))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
     parsed = []
     for k, entry in enumerate(observables):
         try:
-            name = entry["name"]
-            definition = parse_polynomial(entry["definition"], lifted_space)
             expansion = parse_polynomial(entry["expansion"], x_space)
+            parsed.append(Observable(entry["name"], expansion))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed observable #{k + 1}: {exc}") from exc
         except ParseError as exc:
             raise SchemaError(f"bad polynomial in observable #{k + 1}: {exc}") from exc
-        if name != lifted_names[n + k]:
-            raise SchemaError(
-                f"observable #{k + 1} is named {name!r} but coordinate "
-                f"{n + k + 1} is {lifted_names[n + k]!r}"
-            )
-        parsed.append(Observable(name, definition, expansion))
 
-    return SuperLinearization(
-        n=n,
-        m=m,
-        A=A,
-        D=D,
-        observables=tuple(parsed),
-        var_names=tuple(lifted_names),
-    )
+    try:
+        return SuperLinearization(
+            n=n, m=m, A=A, D=D, observables=parsed, var_names=lifted_names
+        )
+    except ValueError as exc:  # observables that do not name the lifted coordinates
+        raise SchemaError(str(exc)) from exc
 
 
 def _is_list(value, length: int) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -53,10 +54,9 @@ def _affine_field(space: VariableSpace, rows: Sequence[Dict]) -> List[Polynomial
 
 @dataclass(frozen=True)
 class Observable:
-    """One adjoined coordinate: its stage-level definition and x-expansion."""
+    """One adjoined coordinate: its name and its expansion over x."""
 
     name: str
-    definition: Polynomial  # over x and the observables of earlier stages
     expansion: Polynomial  # over the original x variables
 
 
@@ -82,7 +82,8 @@ class SuperLinearization:
     D: tuple
     observables: tuple
     var_names: tuple  # original x names first, then observable names
-    chains: tuple = ()
+    # construction accounting, not part of the lift: a document omits it
+    chains: tuple = dataclasses.field(default=(), compare=False)
 
     def __post_init__(self):
         dim = self.n + self.m
@@ -92,6 +93,11 @@ class SuperLinearization:
             raise ValueError("matrix/offset dimensions do not match n + m")
         if len(self.var_names) != dim:
             raise ValueError("need one coordinate name per lifted dimension")
+        if len(self.observables) != self.m:
+            raise ValueError(f"need {self.m} observables, got {len(self.observables)}")
+        for k, (obs, name) in enumerate(zip(self.observables, self.var_names[self.n :])):
+            if obs.name != name:
+                raise ValueError(f"observable #{k + 1} is named {obs.name!r}, not {name!r}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "observables", tuple(self.observables))
@@ -294,7 +300,7 @@ def prop1_lift(
         name = f"{obs_prefix}{obs_start + len(observables)}"
         expansion = q.substitute(images)
         expansions.append(expansion)
-        observables.append(Observable(name=name, definition=q, expansion=expansion))
+        observables.append(Observable(name, expansion))
         solver.add(_poly_vec(q), column)
         return column
 

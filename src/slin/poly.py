@@ -71,9 +71,10 @@ class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
     ``Polynomial(space, terms)`` canonicalizes ``terms``, a mapping from
-    exponent tuples to ints or Fractions: it drops zero coefficients, merges
-    equal keys and raises ValueError on a key that is not ``len(space)``
-    nonnegative exponents. Results of arithmetic skip that pass (`_trusted`).
+    exponent tuples to ints or Fractions: it makes each int a ``Fraction``,
+    drops zero coefficients, merges equal keys and raises ValueError on a key
+    that is not ``len(space)`` nonnegative ``int`` exponents. Results of
+    arithmetic skip that pass (`_trusted`).
     """
 
     __slots__ = ("space", "terms")
@@ -82,15 +83,16 @@ class Polynomial:
         n = len(space)
         canon = {}
         for mono, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if not coeff:
                 continue
             mono = tuple(mono)
-            if len(mono) != n or any(e < 0 for e in mono):
+            if len(mono) != n or not all(type(e) is int and e >= 0 for e in mono):
                 raise ValueError(f"bad exponent tuple {mono} for space of size {n}")
-            canon[mono] = canon.get(mono, Fraction(0)) + coeff
+            canon[mono] = canon[mono] + coeff if mono in canon else coeff
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", {m: c for m, c in canon.items() if c != 0})
+        object.__setattr__(self, "terms", {m: c for m, c in canon.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")

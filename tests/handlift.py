@@ -60,7 +60,8 @@ def _definitions():
 
 
 def observables():
-    """Observables with fully expanded x-polynomials."""
+    """Observables as their x-expansions, each substituted from its hand
+    definition over the earlier observables."""
     defs = _definitions()
     base_images = {i: Polynomial.variable(X_SPACE, i) for i in range(5)}
     expansions = {}
@@ -70,7 +71,7 @@ def observables():
         for j in range(1, k):
             images[LIFTED.index(f"p{j}")] = expansions[j]
         expansions[k] = defs[k].substitute(images, target=X_SPACE)
-        out.append(Observable(f"p{k}", defs[k], expansions[k]))
+        out.append(Observable(f"p{k}", expansions[k]))
     return tuple(out)
 
 

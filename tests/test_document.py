@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,16 +21,22 @@ from slin import (
     verify_symbolic,
 )
 
+from slin.cli import main
+
 from helpers import WRONG_TYPES, cascade, csr_arrays, five_state, two_state
 import handlift
+
+ROOT = Path(__file__).resolve().parents[1]
+# `slin lift systems/fivestate.sys -o` as written before schema slin-lift/2
+FIVESTATE_V1 = ROOT / "tests" / "data" / "fivestate_lift_v1.json"
 
 
 def test_document_roundtrip_two_state():
     sl = superlinearize(two_state())
     doc = lift_to_document(sl)
-    assert doc["schema"] == "slin-lift/1"
+    assert doc["schema"] == "slin-lift/2"
     assert doc["m"] == 1
-    assert doc["observables"][0]["expansion"] == "y^2"
+    assert doc["observables"] == [{"name": "p1", "expansion": "y^2"}]
     again = lift_to_document(document_to_lift(doc))
     assert again == doc
 
@@ -120,6 +127,13 @@ def test_rejects_inconsistent_names():
         document_to_lift(doc)
 
 
+def test_rejects_a_missing_observable():
+    doc = _valid_doc()
+    doc["observables"] = []
+    with pytest.raises(SchemaError, match="need 1 observables"):
+        document_to_lift(doc)
+
+
 def test_rejects_bad_polynomial_string():
     doc = _valid_doc()
     doc["observables"][0]["expansion"] = "y^^2"
@@ -150,25 +164,22 @@ def test_document_is_json_serializable():
 
 def _lift_with_expansion_terms(size):
     """A one-observable document-shaped lift (not a valid lift) whose
-    definition and expansion each hold `size` terms."""
+    expansion holds `size` terms."""
     terms = {(k,): Fraction(2 * k + 1, 3) for k in range(1, size + 1)}
     expansion = Polynomial(VariableSpace(("x",)), terms)
-    definition = Polynomial(
-        VariableSpace(("x", "p1")), {(k, 0): c for (k,), c in terms.items()}
-    )
     return SuperLinearization(
         n=1,
         m=1,
         A=((0, 0), (0, 0)),
         D=(0, 0),
-        observables=(Observable("p1", definition, expansion),),
+        observables=(Observable("p1", expansion),),
         var_names=("x", "p1"),
     )
 
 
 def test_loading_canonicalizes_as_often_at_any_expansion_length(canonical_constructions):
-    # Each observable's polynomials are canonicalized once each, however
-    # many terms they hold: the document loads in time linear in its size.
+    # Each observable's expansion is canonicalized once, however many terms
+    # it holds: the document loads in time linear in its size.
     counts = []
     for size in (50, 500):
         doc = lift_to_document(_lift_with_expansion_terms(size))
@@ -176,3 +187,39 @@ def test_loading_canonicalizes_as_often_at_any_expansion_length(canonical_constr
         assert lift_to_document(document_to_lift(doc)) == doc
         counts.append(len(canonical_constructions))
     assert counts[0] == counts[1]
+
+
+# --- slin-lift/1 documents ------------------------------------------------------
+
+
+def _v1_doc():
+    return json.loads(FIVESTATE_V1.read_text())
+
+
+def test_v1_document_loads_as_the_lift_it_was_written_from():
+    doc = _v1_doc()
+    assert doc["schema"] == "slin-lift/1"
+    assert all("definition" in obs for obs in doc["observables"])
+    assert document_to_lift(doc) == superlinearize(five_state())
+
+
+def test_v1_document_never_reads_its_definitions():
+    doc = _v1_doc()
+    for obs in doc["observables"]:
+        obs["definition"] = "not a polynomial^^"
+    assert document_to_lift(doc) == document_to_lift(_v1_doc())
+
+
+def test_v1_document_verifies():
+    assert verify_symbolic(five_state(), load_lift(FIVESTATE_V1)).ok
+    assert main(["verify", str(ROOT / "systems" / "fivestate.sys"), str(FIVESTATE_V1)]) == 0
+
+
+def test_v1_document_saves_as_v2():
+    doc = lift_to_document(load_lift(FIVESTATE_V1))
+    assert doc["schema"] == "slin-lift/2"
+    assert not any("definition" in obs for obs in doc["observables"])
+    expected = _v1_doc()
+    for obs in expected["observables"]:
+        del obs["definition"]
+    assert {**doc, "schema": None} == {**expected, "schema": None}

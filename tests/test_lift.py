@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from slin import (
     ConditionFailedError,
+    Observable,
     Polynomial,
     SpaceMismatchError,
+    SuperLinearization,
     lie_derivative,
     parse_system,
     superlinearize,
@@ -174,7 +176,7 @@ def test_prop1_lift_decay_square():
     sp = space("y x")
     A, D, obs, chains = _prop1(sp, {0: {0: Fraction(-1)}}, [1], [{1: -1}], [P("y^2", sp)])
     assert [o.name for o in obs] == ["p1"]
-    assert len(obs) == 1 and obs[0].definition == P("y^2", sp)
+    assert len(obs) == 1 and obs[0].expansion == P("y^2", sp)
     # rows: dy = -y, dx = -x + p1, dp1 = -2 p1
     assert A == ((-1, 0, 0), (0, -1, 1), (0, 0, -2))
     assert D == (0, 0, 0)
@@ -184,7 +186,7 @@ def test_prop1_lift_decay_square():
 def test_prop1_lift_oscillator_chain():
     sp = space("x1 x2 x3")
     A, D, obs, chains = _prop1(sp, {0: {1: 1}, 1: {0: -1}}, [2], [{}], [P("x2^2", sp)])
-    assert [o.definition for o in obs] == [
+    assert [o.expansion for o in obs] == [
         P("x2^2", sp),
         P("-2*x1*x2", sp),
         P("2*x1^2 - 2*x2^2", sp),
@@ -215,6 +217,24 @@ def test_prop1_lift_rejects_foreign_seed():
     other = space("w")
     with pytest.raises(SpaceMismatchError):
         _prop1(sp, {0: {}}, [1], [{}], [P("w", other)])
+
+
+# --- SuperLinearization ----------------------------------------------------------
+
+
+def test_lift_needs_one_observable_per_lifted_coordinate():
+    with pytest.raises(ValueError, match="need 1 observables, got 0"):
+        SuperLinearization(
+            n=1, m=1, A=((-1, 0), (0, 0)), D=(0, 0), observables=(), var_names=("x", "p1")
+        )
+
+
+def test_lift_needs_observables_named_as_their_coordinates():
+    obs = Observable("p2", P("x^2", space("x")))
+    with pytest.raises(ValueError, match="named 'p2', not 'p1'"):
+        SuperLinearization(
+            n=1, m=1, A=((-1, 0), (0, -2)), D=(0, 0), observables=(obs,), var_names=("x", "p1")
+        )
 
 
 # --- superlinearize ---------------------------------------------------------------
@@ -250,15 +270,8 @@ def test_superlinearize_five_state_regression():
         (2, 0, 4, 84),
         (2, 1, 9, 84),
     ]
-    # chain degrees never increase along an affine-driven chain; each chain
-    # created its observables one after another, in chain order
-    start = 0
-    for c in sl.chains:
-        chain = sl.observables[start : start + c.created]
-        degs = [o.definition.degree() for o in chain]
-        assert all(a >= b for a, b in zip(degs, degs[1:]))
-        start += c.created
-    assert start == sl.m
+    # every observable was created by exactly one chain
+    assert sum(c.created for c in sl.chains) == sl.m
 
 
 def test_superlinearize_projection_rows_reproduce_field():

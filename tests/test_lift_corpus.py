@@ -5,7 +5,7 @@
 condition, to the name of the exception `superlinearize` raises.
 `tests/data/lift_documents.json` does the same for the whole lift document
 as `json.dumps(lift_to_document(lift))` writes it, so the observables'
-names and rendered definitions are pinned too. A change to the construction
+names and the schema are pinned too. A change to the construction
 that keeps every lift keeps every digest; one that changes a lift names the
 systems whose lifts moved.
 
@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from slin import SlinError, superlinearize
-from slin.document import lift_to_document
+from slin.document import document_to_lift, lift_to_document
 from slin.numeric import _eval_into, integrate, rk4_kernel_python
 from slin.sysparse import load_system
 
@@ -138,6 +138,17 @@ def test_lift_documents_match_the_corpus(documents):
         name for name in corpus_systems() if document_digest(name) != documents[name]
     ]
     assert moved == []
+
+
+def test_every_lift_equals_its_reloaded_document():
+    differ = []
+    for name in corpus_systems():
+        sl = lift_of(name)
+        if isinstance(sl, str):
+            continue
+        if document_to_lift(json.loads(json.dumps(lift_to_document(sl)))) != sl:
+            differ.append(name)
+    assert differ == []
 
 
 def test_every_lift_field_steps_bit_for_bit_on_both_backends(compiled_ext):

@@ -477,10 +477,15 @@ def test_public_constructor_canonicalizes():
     assert Polynomial(XY, {(1, 0): 0}).is_zero()
 
 
-@pytest.mark.parametrize("mono", [(1,), (1, 0, 0), (1, -1)])
+@pytest.mark.parametrize("mono", [(1,), (1, 0, 0), (1, -1), (1.5, 0), (2.0, 0), ("1", 0)])
 def test_public_constructor_rejects_bad_exponent_tuples(mono):
     with pytest.raises(ValueError, match="bad exponent tuple"):
         Polynomial(XY, {mono: 1})
+
+
+def test_public_constructor_keeps_a_fraction_as_it_is():
+    coeff = Fraction(2, 3)
+    assert Polynomial(space("x"), {(1,): coeff}).terms[(1,)] is coeff
 
 
 def _assert_canonical(p):

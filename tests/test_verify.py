@@ -42,9 +42,7 @@ from helpers import (
 
 
 def _two_state_lift(a33=Fraction(-2)):
-    xy = space("x y")
-    lifted = space("x y w")
-    obs = Observable("w", P("y^2", lifted), P("y^2", xy))
+    obs = Observable("w", P("y^2", space("x y")))
     A = ((-1, 0, 1), (0, -1, 0), (0, 0, a33))
     return SuperLinearization(
         n=2, m=1, A=A, D=(0, 0, 0), observables=(obs,), var_names=("x", "y", "w")
@@ -69,8 +67,7 @@ def test_verify_symbolic_dimension_mismatch():
 
 
 def test_verify_symbolic_rejects_an_expansion_over_other_variables():
-    lifted = space("x y w")
-    obs = Observable("w", P("y^2", lifted), P("y^2", lifted))
+    obs = Observable("w", P("y^2", space("x y w")))
     sl = dataclasses.replace(_two_state_lift(), observables=(obs,))
     with pytest.raises(SpaceMismatchError, match="expansion of w"):
         verify_symbolic(two_state(), sl)
