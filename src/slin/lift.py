@@ -5,8 +5,8 @@ layer is affine in its own variables with polynomial forcing from the
 coordinates already lifted, and the depth-0 layer's forcing is constant.
 Every layer, depth 0 included, is lifted by one step (`prop1_lift`): forcing
 terms are absorbed by growing chains of Lie derivatives along the current
-affine field, with exact span detection over the graded-lex coefficient
-vectors deciding when a chain closes on itself.
+affine field, with exact span detection over the polynomials' own term dicts
+deciding when a chain closes on itself.
 
 The lift is built in its final coordinates from the first layer on: x in its
 original order, then the observables in the order they are created. Each
@@ -36,7 +36,7 @@ from .errors import (
     InternalInvariantError,
     SpaceMismatchError,
 )
-from .poly import Polynomial, VariableSpace, grlex_key, lie_derivative
+from .poly import Polynomial, VariableSpace, lie_derivative
 from .sysparse import PolySystem
 
 
@@ -87,8 +87,11 @@ class SuperLinearization:
 
     def __post_init__(self):
         dim = self.n + self.m
-        A = tuple(tuple(Fraction(e) for e in row) for row in self.A)
-        D = tuple(Fraction(e) for e in self.D)
+        # An entry that is already a Fraction is kept, as `Polynomial` keeps one.
+        A = tuple(
+            tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in self.A
+        )
+        D = tuple(e if type(e) is Fraction else Fraction(e) for e in self.D)
         if len(A) != dim or any(len(row) != dim for row in A) or len(D) != dim:
             raise ValueError("matrix/offset dimensions do not match n + m")
         if len(self.var_names) != dim:
@@ -167,6 +170,10 @@ class SpanSolver:
     its pivot, pivots are distinct, so a vector lies in the span iff repeated
     pivot elimination empties it. Alongside each row we track its expression
     in the originally added vectors, which is what `express` reports.
+
+    Only a vector that enlarges the span is stored, so the stored originals
+    are independent and a vector's coefficients over them are unique: the key
+    order picks the pivots, but cannot change the coefficients `express` finds.
     """
 
     def __init__(self):
@@ -222,16 +229,9 @@ class SpanSolver:
         return combo
 
 
-def _poly_vec(p: Polynomial) -> Dict:
-    return {grlex_key(mono): coeff for mono, coeff in p.terms.items()}
-
-
 def _field_vec(components: Sequence[Polynomial]) -> Dict:
-    out = {}
-    for i, p in enumerate(components):
-        for mono, coeff in p.terms.items():
-            out[(i,) + grlex_key(mono)] = coeff
-    return out
+    """The components' terms stacked into one vector keyed by (component, monomial)."""
+    return {(i, mono): c for i, p in enumerate(components) for mono, c in p.terms.items()}
 
 
 # --- one layer of the construction -------------------------------------------
@@ -267,6 +267,9 @@ def prop1_lift(
     predecessor became. An element in the span of {1} u {lifted
     coordinates} u {observables so far} closes the chain with that exact
     dependency; any other becomes the next observable, the next column.
+    Each element is offered to the span first (`SpanSolver.add`), which
+    stores one outside it in the same elimination; only the element that
+    closes a chain is eliminated again, by `express`, for its dependency.
     Chains share one span across all seeds of the call, so repeated
     nonlinearities are never adjoined twice. Depth 0's seeds are constants,
     so its chains close at once against 1.
@@ -287,9 +290,9 @@ def prop1_lift(
     base = len(rows)
     field = _affine_field(space, [rows.get(c, {}) for c in range(len(space))])
     solver = SpanSolver()
-    solver.add(_poly_vec(Polynomial.constant(space, 1)), _CONST)
+    solver.add(Polynomial.constant(space, 1).terms, _CONST)
     for c in rows:
-        solver.add(_poly_vec(Polynomial.variable(space, c)), c)
+        solver.add(Polynomial.variable(space, c).terms, c)
 
     images = dict(enumerate(expansions))
     observables: List[Observable] = []
@@ -301,7 +304,6 @@ def prop1_lift(
         expansion = q.substitute(images)
         expansions.append(expansion)
         observables.append(Observable(name, expansion))
-        solver.add(_poly_vec(q), column)
         return column
 
     for seed_ordinal, (c, linear, seed) in enumerate(zip(layer, linear_part, seeds)):
@@ -311,11 +313,8 @@ def prop1_lift(
         created = 0
         # Row c is `linear` plus the forcing term q.
         q = seed
-        while True:
-            combo = solver.express(_poly_vec(q))
-            if combo is not None:
-                rows[c] = {**linear, **combo}
-                break
+        # An element outside the span is stored under the column it becomes.
+        while solver.add(q.terms, len(expansions)):
             if created >= cap:
                 raise ChainCapError(
                     f"chain for seed {seed_ordinal} of stage {stage} exceeded "
@@ -326,6 +325,7 @@ def prop1_lift(
             rows[c] = {**linear, column: Fraction(1)}
             c, linear = column, {}
             q = lie_derivative(q, field)
+        rows[c] = {**linear, **solver.express(q.terms)}
         chains.append(ChainInfo(stage, seed_ordinal, d, base, created, cap))
     return observables, chains
 
@@ -435,11 +435,12 @@ def superlinearize(sys: PolySystem) -> SuperLinearization:
         names += tuple(o.name for o in new_obs)
 
     dim = len(names)
+    zero = Fraction(0)
     result = SuperLinearization(
         n=sys.dim,
         m=len(observables),
-        A=tuple(tuple(rows[i].get(j, 0) for j in range(dim)) for i in range(dim)),
-        D=tuple(rows[i].get(_CONST, 0) for i in range(dim)),
+        A=tuple(tuple(rows[i].get(j, zero) for j in range(dim)) for i in range(dim)),
+        D=tuple(rows[i].get(_CONST, zero) for i in range(dim)),
         observables=tuple(observables),
         var_names=names,
         chains=tuple(chains),
@@ -470,9 +471,8 @@ def xumama_check(sys: PolySystem, max_n: int) -> Optional[XumamaCertificate]:
     solver.add(_field_vec(current), 0)
     for N in range(1, max_n + 1):
         current = [lie_derivative(c, sys.rhs) for c in current]
-        combo = solver.express(_field_vec(current))
-        if combo is not None:
-            alpha = tuple(combo.get(k, Fraction(0)) for k in range(N))
+        vec = _field_vec(current)
+        if not solver.add(vec, N):
+            alpha = tuple(solver.express(vec).get(k, Fraction(0)) for k in range(N))
             return XumamaCertificate(N, alpha)
-        solver.add(_field_vec(current), N)
     return None

@@ -19,8 +19,8 @@ terms)``, and so the parser and the lift-document loader. The operators,
 
 The canonical term order is graded lexicographic over the ambient variable
 order: higher total degree first, ties broken by comparing exponent tuples
-left to right. Rendering, numeric evaluation, coefficient-vector indexing
-and the row reduction in the lifting module all use this order.
+left to right. Rendering and numeric evaluation use this order; the row
+reduction in the lifting module gives the same result under any key order.
 """
 
 from __future__ import annotations
@@ -197,16 +197,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_space(other)
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(ea + eb for ea, eb in zip(ma, mb))
-                acc = out.get(mono, Fraction(0)) + ca * cb
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return Polynomial._trusted(self.space, out)
+        a, da = _int_terms(self)
+        b, db = _int_terms(other)
+        den = da * db
+        return Polynomial._trusted(
+            self.space, {m: Fraction(c, den) for m, c in _int_mul(a, b).items()}
+        )
 
     __rmul__ = __mul__
 
@@ -410,7 +406,8 @@ def _int_terms(p: Polynomial):
 
 
 def _int_mul(a: dict, b: dict) -> dict:
-    """Product of int term dicts, in the loop order of `Polynomial.__mul__`."""
+    """Product of int term dicts, the loop of ``*`` on `_int_terms`: each term
+    of ``a`` times each of ``b``, in order; a key summing to zero is dropped."""
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():

@@ -90,6 +90,26 @@ def chained_substitute(p, images, target=None):
     return result
 
 
+def fraction_mul(p, q) -> dict:
+    """The terms of ``p * q`` by a loop over ``Fraction`` coefficients.
+
+    Each term of ``p`` in order times each of ``q``, added into one dict; a
+    key whose sum is zero is deleted and comes back at the end if a later
+    product hits it again. ``*`` promises this result, dict order included;
+    it is the reference for that promise.
+    """
+    out = {}
+    for ma, ca in p.terms.items():
+        for mb, cb in q.terms.items():
+            mono = tuple(ea + eb for ea, eb in zip(ma, mb))
+            acc = out.get(mono, Fraction(0)) + ca * cb
+            if acc:
+                out[mono] = acc
+            else:
+                del out[mono]
+    return out
+
+
 def pow_by_squaring(p, e: int):
     """``p**e`` by square and multiply over the public ``*``, low bits first.
 

@@ -418,6 +418,24 @@ def test_a_reader_that_closes_early_ends_the_command_quietly(files, argv, lines_
     assert stderr == b""
 
 
+def test_importing_slin_loads_only_its_own_and_standard_library_modules():
+    # slin has no runtime dependency, and import time is most of a short
+    # command's run: a third-party import would cost both.
+    code = (
+        "import sys; before = set(sys.modules); import slin, slin.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(slin.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    added = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "slin.cli" in added
+    roots = {name.partition(".")[0] for name in added}
+    assert roots - {"slin"} <= set(sys.stdlib_module_names)
+
+
 def test_simulate_zero_horizon_single_row(files, tmp_path):
     out = tmp_path / "traj.csv"
     assert (

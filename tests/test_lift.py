@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -19,15 +20,15 @@ from slin import (
     verify_symbolic,
     xumama_check,
 )
-from slin.lift import _CONST, SpanSolver, _field_vec, _poly_vec, prop1_lift
+from slin.lift import _CONST, SpanSolver, _field_vec, prop1_lift
 
-from helpers import P, five_state, random_layered_system, space, two_state
+from helpers import P, cascade, five_state, random_layered_system, space, two_state
 
 
 # --- SpanSolver ------------------------------------------------------------------
 
 
-def _express(target, basis, vec=_poly_vec):
+def _express(target, basis, vec=attrgetter("terms")):
     """The solver's coefficients of `target` over `basis`, by position, or None."""
     solver = SpanSolver()
     for k, b in enumerate(basis):
@@ -87,9 +88,9 @@ def test_express_field_variant_solves_componentwise():
 def test_span_solver_rejects_outside_vector():
     solver = SpanSolver()
     sp = space("x")
-    solver.add(_poly_vec(P("x", sp)), 0)
-    assert solver.express(_poly_vec(P("x^2", sp))) is None
-    assert solver.express(_poly_vec(P("3*x", sp))) == {0: Fraction(3)}
+    solver.add(P("x", sp).terms, 0)
+    assert solver.express(P("x^2", sp).terms) is None
+    assert solver.express(P("3*x", sp).terms) == {0: Fraction(3)}
 
 
 # The oracle below draws sparse vectors over x, y (a basis entry is one
@@ -133,8 +134,8 @@ def span_problems(draw, width):
 
 @pytest.mark.parametrize(
     "width, vec",
-    [(1, lambda entry: _poly_vec(entry[0])), (2, _field_vec)],
-    ids=["poly_vec", "field_vec"],
+    [(1, lambda entry: entry[0].terms), (2, _field_vec)],
+    ids=["terms", "field_vec"],
 )
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -235,6 +236,13 @@ def test_lift_needs_observables_named_as_their_coordinates():
         SuperLinearization(
             n=1, m=1, A=((-1, 0), (0, -2)), D=(0, 0), observables=(obs,), var_names=("x", "p1")
         )
+
+
+def test_lift_makes_int_entries_fractions_and_keeps_a_fraction_as_it_is():
+    half = Fraction(1, 2)
+    sl = SuperLinearization(n=1, m=0, A=((half,),), D=(3,), observables=(), var_names=("x",))
+    assert sl.A[0][0] is half
+    assert type(sl.D[0]) is Fraction and sl.D[0] == 3
 
 
 # --- superlinearize ---------------------------------------------------------------
@@ -383,6 +391,30 @@ def test_superlinearize_same_observable_reused_across_layers():
     )
     sl = superlinearize(s)
     assert verify_symbolic(s, sl).ok
+
+
+@pytest.mark.parametrize(
+    "system",
+    [five_state, lambda: cascade(4, 2), lambda: cascade(4, 3)],
+    ids=["fivestate", "cascade(4,2)", "cascade(4,3)"],
+)
+def test_each_chain_element_is_eliminated_once(system, monkeypatch):
+    # Per stage, 1 and each lifted coordinate are added once. Every chain
+    # element outside the span costs the one elimination of `add`, which
+    # stores it as an observable; the element that closes a chain costs two,
+    # `add` finding it inside and `express` reading off its dependency.
+    calls = []
+    eliminate = SpanSolver._eliminate
+
+    def counting(self, vec):
+        calls.append(len(vec))
+        return eliminate(self, vec)
+
+    monkeypatch.setattr(SpanSolver, "_eliminate", counting)
+    sl = superlinearize(system())
+    base_dims = {info.stage: info.base_dim for info in sl.chains}
+    expected = sum(1 + b for b in base_dims.values()) + sl.m + 2 * len(sl.chains)
+    assert len(calls) == expected
 
 
 # --- xumama_check ------------------------------------------------------------------

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from slin import NEG_INF, Polynomial, SpaceMismatchError, lie_derivative, parse_polynomial
 
-from helpers import P, chained_substitute, pow_by_squaring, space, sympy_terms, to_sympy
+from helpers import (
+    P,
+    chained_substitute,
+    fraction_mul,
+    pow_by_squaring,
+    space,
+    sympy_terms,
+    to_sympy,
+)
 
 XY = space("x1 x2")
 XYZ = space("x1 x2 x3")
@@ -298,6 +306,22 @@ def test_substitute_keeps_the_chained_operator_result_and_order(p, images):
 @settings(max_examples=300, deadline=None)
 def test_pow_keeps_the_square_and_multiply_result_and_order(p, e):
     assert list((p**e).terms.items()) == list(pow_by_squaring(p, e).terms.items())
+
+
+@given(
+    st.dictionaries(st.sampled_from(MONOS_3), small_coeffs, max_size=6).map(
+        lambda d: Polynomial(XYZ, d)
+    ),
+    st.dictionaries(st.sampled_from(MONOS_3), small_coeffs, max_size=6).map(
+        lambda d: Polynomial(XYZ, d)
+    ),
+)
+# x1*x2 cancels; in the second, it cancels and comes back at the end.
+@example(P("x1 + x2", XYZ), P("x1 - x2", XYZ))
+@example(P("x1 + x2 + 1", XYZ), P("x2 - x1 + x1*x2", XYZ))
+@settings(max_examples=300, deadline=None)
+def test_mul_keeps_the_fraction_loop_result_and_order(p, q):
+    assert list((p * q).terms.items()) == list(fraction_mul(p, q).items())
 
 
 def test_substitute_keeps_the_chained_operator_order_through_cancellation():
